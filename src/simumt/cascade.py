@@ -27,7 +27,7 @@ import numpy as np
 from .normalize import asr_normalize
 from .online import (ActionTrace, ReadEvent, WriteEvent, ensemble_logprobs,
                      _as_sessions)
-from .vocab import BOS, EOS
+from .vocab import EOS
 
 INFINITE_COST = math.inf
 
@@ -248,7 +248,8 @@ def cascade_decode(stream: Sequence[TimedWord], mt: CascadeMT,
 
     The trace has one READ per audio block (g_ms stamps the consumed
     audio) and one WRITE per emitted token.  The target-side prefix
-    persists across endpoints unless ``reset_target_on_endpoint``; the
+    persists across endpoints unless ``reset_target_on_endpoint`` (each
+    session's ``reset_target`` then runs after an endpoint fires); the
     source side always continues, with the end-of-source marker appended
     exactly once at audio depletion.  ``hard_cap`` bounds total writes in
     case EOS never comes (the result is then flagged truncated).
@@ -302,9 +303,7 @@ def cascade_decode(stream: Sequence[TimedWord], mt: CascadeMT,
                 marker_fed = True
             if fired and reset_target_on_endpoint:
                 for s in sessions:
-                    s.dec = None
-                    s.prev = BOS
-                    s._pending = None
+                    s.reset_target()
             action = "WRITE"
         else:
             visible = sessions[0].n_encoded

@@ -14,17 +14,20 @@ implements that mapping; trace bookkeeping elsewhere stays in real-token
 terms.
 
 Decoding maintains explicit states.  ``encode_prefix`` extends an encoder
-state with a block of new tokens without touching existing rows, and
-``decode_step`` advances one target position against the first ``visible``
-encoder rows only (the memory is sliced before any arithmetic, so output
-is bitwise independent of later source content).  Both return new state
-objects and never mutate their inputs.
+state with a block of new tokens: because prefix rows are final, only the
+new rows are normalized and projected, and the state caches every encoder
+layer's self-attention keys/values plus each decoder layer's
+cross-attention keys/values over the memory.  ``decode_step`` advances one
+target position against the first ``visible`` encoder rows only (the
+cross caches are sliced before any arithmetic, so output is bitwise
+independent of later source content).  Both return new state objects and
+never mutate their inputs.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -71,7 +74,19 @@ class ModelConfig:
         return asdict(self)
 
     @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
+    def from_dict(cls, d) -> "ModelConfig":
+        """Build from a mapping holding exactly this class's fields, with
+        ints and bools as declared; anything else raises ValueError."""
+        if not isinstance(d, dict):
+            raise ValueError(f"config must be a mapping, not {type(d).__name__}")
+        declared = {f.name: f.type for f in fields(cls)}
+        if set(d) != set(declared):
+            raise ValueError(f"config keys: unknown {sorted(set(d) - set(declared))}, "
+                             f"missing {sorted(set(declared) - set(d))}")
+        for name, value in d.items():
+            want = bool if declared[name] in (bool, "bool") else int
+            if type(value) is not want:
+                raise ValueError(f"config {name}={value!r} is not {want.__name__}")
         return cls(**d)
 
 
@@ -119,37 +134,31 @@ def _glorot(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
     return rng.uniform(-limit, limit, size=shape)
 
 
-def init_parameters(config: ModelConfig, seed: int) -> Parameters:
-    """Fresh weights; identical (config, seed) gives identical tensors.
-
-    Matrices draw from a scaled uniform distribution; biases start at
-    zero, layer-norm gains at one.  Tensors are created in a fixed order
-    so draws are reproducible.
-    """
-    rng = np.random.default_rng(seed)
+def parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Name and shape of every tensor ``config`` implies, in creation order."""
     d, f = config.d_model, config.d_ffn
-    t: dict[str, np.ndarray] = {}
+    shapes: dict[str, tuple[int, ...]] = {}
 
     if config.joint_vocabulary:
-        t["embed"] = _glorot(rng, (config.src_vocab_size, d))
+        shapes["embed"] = (config.src_vocab_size, d)
     else:
-        t["src_embed"] = _glorot(rng, (config.src_vocab_size, d))
-        t["tgt_embed"] = _glorot(rng, (config.tgt_vocab_size, d))
+        shapes["src_embed"] = (config.src_vocab_size, d)
+        shapes["tgt_embed"] = (config.tgt_vocab_size, d)
 
     def add_ln(prefix: str) -> None:
-        t[prefix + ".g"] = np.ones(d)
-        t[prefix + ".b"] = np.zeros(d)
+        shapes[prefix + ".g"] = (d,)
+        shapes[prefix + ".b"] = (d,)
 
     def add_attn(prefix: str) -> None:
         for w in ("wq", "wk", "wv", "wo"):
-            t[f"{prefix}.{w}"] = _glorot(rng, (d, d))
-            t[f"{prefix}.{w.replace('w', 'b')}"] = np.zeros(d)
+            shapes[f"{prefix}.{w}"] = (d, d)
+            shapes[f"{prefix}.{w.replace('w', 'b')}"] = (d,)
 
     def add_ffn(prefix: str) -> None:
-        t[prefix + ".w1"] = _glorot(rng, (d, f))
-        t[prefix + ".b1"] = np.zeros(f)
-        t[prefix + ".w2"] = _glorot(rng, (f, d))
-        t[prefix + ".b2"] = np.zeros(d)
+        shapes[prefix + ".w1"] = (d, f)
+        shapes[prefix + ".b1"] = (f,)
+        shapes[prefix + ".w2"] = (f, d)
+        shapes[prefix + ".b2"] = (d,)
 
     for l in range(config.n_enc_layers):
         add_ln(f"enc.{l}.ln1")
@@ -168,7 +177,26 @@ def init_parameters(config: ModelConfig, seed: int) -> Parameters:
     add_ln("dec.final_ln")
 
     if not config.tie_decoder_embeddings:
-        t["out_proj"] = _glorot(rng, (config.tgt_vocab_size, d))
+        shapes["out_proj"] = (config.tgt_vocab_size, d)
+    return shapes
+
+
+def init_parameters(config: ModelConfig, seed: int) -> Parameters:
+    """Fresh weights; identical (config, seed) gives identical tensors.
+
+    Matrices draw from a scaled uniform distribution; biases start at
+    zero, layer-norm gains at one.  Tensors are created in the order of
+    ``parameter_shapes`` so draws are reproducible.
+    """
+    rng = np.random.default_rng(seed)
+    t: dict[str, np.ndarray] = {}
+    for name, shape in parameter_shapes(config).items():
+        if len(shape) == 2:
+            t[name] = _glorot(rng, shape)
+        elif name.endswith(".g"):
+            t[name] = np.ones(shape)
+        else:
+            t[name] = np.zeros(shape)
     return Parameters(config=config, tensors=t)
 
 
@@ -190,10 +218,14 @@ def sinusoid_rows(start: int, n: int, d: int) -> np.ndarray:
 
 
 def layer_norm(x: np.ndarray, g: np.ndarray, b: np.ndarray):
-    mean = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
+    """Normalize over the last axis.  The mean is computed once and the
+    centred rows reused, with the same reductions ``x.mean``/``x.var``
+    perform, so results are bitwise those of the two-call form."""
+    n = x.shape[-1]
+    xc = x - np.add.reduce(x, axis=-1, keepdims=True) / n
+    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + _LN_EPS)
-    xhat = (x - mean) * inv
+    xhat = xc * inv
     return xhat * g + b, (xhat, inv, g)
 
 
@@ -238,15 +270,22 @@ def visibility_mask(visible: np.ndarray, n: int) -> np.ndarray:
     return np.where(cols < np.asarray(visible)[:, None], 0.0, NEG_INF)
 
 
+def _project(params: Parameters, prefix: str, which: str, x: np.ndarray) -> np.ndarray:
+    """Rows of x through an attention block's ``which`` ('q', 'k' or 'v')
+    projection."""
+    t = params.tensors
+    return x @ t[f"{prefix}.w{which}"] + t[f"{prefix}.b{which}"]
+
+
 def attention(params: Parameters, prefix: str, q_in: np.ndarray, kv_in: np.ndarray,
               mask: np.ndarray | None):
     """Multi-head attention of q_in rows over kv_in rows."""
     t = params.tensors
     h = params.config.n_heads
     scale = 1.0 / math.sqrt(params.config.head_dim)
-    q = q_in @ t[f"{prefix}.wq"] + t[f"{prefix}.bq"]
-    k = kv_in @ t[f"{prefix}.wk"] + t[f"{prefix}.bk"]
-    v = kv_in @ t[f"{prefix}.wv"] + t[f"{prefix}.bv"]
+    q = _project(params, prefix, "q", q_in)
+    k = _project(params, prefix, "k", kv_in)
+    v = _project(params, prefix, "v", kv_in)
     qh, kh, vh = _split_heads(q, h), _split_heads(k, h), _split_heads(v, h)
     scores = qh @ kh.swapaxes(1, 2) * scale
     if mask is not None:
@@ -488,55 +527,80 @@ def forward_teacher_forced(params: Parameters, x: Sequence[int], y: Sequence[int
 
 @dataclass(frozen=True)
 class EncoderState:
-    """Grows block by block; existing rows are never recomputed differently.
+    """Grows block by block; rows already encoded are final.
 
-    layer_inputs[l] is the input sequence of encoder layer l (the last
-    entry feeds the final layer norm); memory is the normed output.
+    Each row is normalized and projected once, in the call that adds it:
+    ``enc_k[l]``/``enc_v[l]`` are encoder layer l's self-attention keys
+    and values, ``memory`` is the normed encoder output, and
+    ``cross_k[l]``/``cross_v[l]`` are the memory projected into decoder
+    layer l's cross-attention keys and values.  An extension stacks new
+    rows into fresh arrays, so an existing state never changes.
     """
 
-    layer_inputs: tuple[np.ndarray, ...]
+    enc_k: tuple[np.ndarray, ...]
+    enc_v: tuple[np.ndarray, ...]
     memory: np.ndarray
+    cross_k: tuple[np.ndarray, ...]
+    cross_v: tuple[np.ndarray, ...]
     n_tokens: int
+
+
+def _empty_encoder_state(params: Parameters) -> EncoderState:
+    d = params.config.d_model
+
+    def empty(n: int) -> tuple[np.ndarray, ...]:
+        return tuple(np.empty((0, d)) for _ in range(n))
+
+    n_enc, n_dec = params.config.n_enc_layers, params.config.n_dec_layers
+    return EncoderState(enc_k=empty(n_enc), enc_v=empty(n_enc), memory=np.empty((0, d)),
+                        cross_k=empty(n_dec), cross_v=empty(n_dec), n_tokens=0)
 
 
 def encode_prefix(params: Parameters, new_tokens: Sequence[int],
                   state: EncoderState | None = None) -> EncoderState:
     """Extend (or start) an encoder state with a block of source tokens.
 
-    Returns a new state; ``state`` is unchanged.  Encoding a sequence in
-    any block split yields the same rows as encoding it in one call.
+    Returns a new state; ``state`` is unchanged.  Only the new rows are
+    computed: they attend over the cached keys/values of earlier rows.
+    Encoding a sequence in any block split yields the same rows as
+    encoding it in one call.
     """
     cfg = params.config
-    d = cfg.d_model
+    t = params.tensors
     new_ids = np.asarray(new_tokens, dtype=np.int64)
     if new_ids.ndim != 1 or len(new_ids) == 0:
         raise ValueError("need at least one new token")
-    z0 = 0 if state is None else state.n_tokens
+    if state is None:
+        state = _empty_encoder_state(params)
+    z0 = state.n_tokens
     nn = len(new_ids)
 
     h = _embed(params, params.src_embed_name, new_ids, z0)
     mask = causal_mask(nn, z0 + nn, offset=z0)
-    new_inputs = []
+    enc_k, enc_v = [], []
     for l in range(cfg.n_enc_layers):
-        prev = state.layer_inputs[l] if state is not None else np.empty((0, d))
-        full_in = np.vstack([prev, h])
-        new_inputs.append(full_in)
-        ln_full, _ = layer_norm(full_in, params.tensors[f"enc.{l}.ln1.g"],
-                                params.tensors[f"enc.{l}.ln1.b"])
-        a_out, _ = attention(params, f"enc.{l}.attn", ln_full[z0:], ln_full, mask)
-        h = h + a_out
-        f_in, _ = layer_norm(h, params.tensors[f"enc.{l}.ln2.g"],
-                             params.tensors[f"enc.{l}.ln2.b"])
+        pre = f"enc.{l}.attn"
+        a_in, _ = layer_norm(h, t[f"enc.{l}.ln1.g"], t[f"enc.{l}.ln1.b"])
+        k_all = np.vstack([state.enc_k[l], _project(params, pre, "k", a_in)])
+        v_all = np.vstack([state.enc_v[l], _project(params, pre, "v", a_in)])
+        enc_k.append(k_all)
+        enc_v.append(v_all)
+        h = h + _attend_precomputed(params, pre, a_in, k_all, v_all, mask)
+        f_in, _ = layer_norm(h, t[f"enc.{l}.ln2.g"], t[f"enc.{l}.ln2.b"])
         f_out, _ = ffn(params, f"enc.{l}.ffn", f_in)
         h = h + f_out
-    prev = state.layer_inputs[-1] if state is not None else np.empty((0, d))
-    new_inputs.append(np.vstack([prev, h]))
-    mem_rows, _ = layer_norm(h, params.tensors["enc.final_ln.g"],
-                             params.tensors["enc.final_ln.b"])
-    prev_mem = state.memory if state is not None else np.empty((0, d))
+    mem_rows, _ = layer_norm(h, t["enc.final_ln.g"], t["enc.final_ln.b"])
+    cross_k, cross_v = [], []
+    for l in range(cfg.n_dec_layers):
+        pre = f"dec.{l}.cross_attn"
+        cross_k.append(np.vstack([state.cross_k[l], _project(params, pre, "k", mem_rows)]))
+        cross_v.append(np.vstack([state.cross_v[l], _project(params, pre, "v", mem_rows)]))
     return EncoderState(
-        layer_inputs=tuple(new_inputs),
-        memory=np.vstack([prev_mem, mem_rows]),
+        enc_k=tuple(enc_k),
+        enc_v=tuple(enc_v),
+        memory=np.vstack([state.memory, mem_rows]),
+        cross_k=tuple(cross_k),
+        cross_v=tuple(cross_v),
         n_tokens=z0 + nn,
     )
 
@@ -564,60 +628,58 @@ def decode_step(params: Parameters, enc_state: EncoderState,
     """One greedy-decoding step.
 
     ``visible`` counts encoder rows (marker included when exposed) and
-    must be in [1, enc_state.n_tokens].  The memory is sliced to that
-    prefix before any computation, so the result is bitwise identical no
-    matter what lies beyond.  Returns (logprobs (V,), new DecoderState);
-    inputs are not mutated.
+    must be in [1, enc_state.n_tokens].  The cached cross-attention keys
+    and values are sliced to that prefix before any computation, so the
+    result is bitwise identical no matter what lies beyond.  Returns
+    (logprobs (V,), new DecoderState); inputs are not mutated.
     """
     cfg = params.config
+    t = params.tensors
     if dec_state is None:
         dec_state = empty_decoder_state(params)
     if not 1 <= visible <= enc_state.n_tokens:
         raise ValueError(f"visible={visible} outside [1, {enc_state.n_tokens}]")
-    mem_vis = enc_state.memory[:visible]
-    t = dec_state.step
+    step = dec_state.step
 
     ids = np.asarray([prev_token], dtype=np.int64)
-    h = _embed(params, params.tgt_embed_name, ids, t)
+    h = _embed(params, params.tgt_embed_name, ids, step)
     new_k, new_v = [], []
     for l in range(cfg.n_dec_layers):
-        a_in, _ = layer_norm(h, params.tensors[f"dec.{l}.ln1.g"],
-                             params.tensors[f"dec.{l}.ln1.b"])
+        a_in, _ = layer_norm(h, t[f"dec.{l}.ln1.g"], t[f"dec.{l}.ln1.b"])
         pre = f"dec.{l}.self_attn"
-        k_row = a_in @ params.tensors[f"{pre}.wk"] + params.tensors[f"{pre}.bk"]
-        v_row = a_in @ params.tensors[f"{pre}.wv"] + params.tensors[f"{pre}.bv"]
-        k_all = np.vstack([dec_state.self_k[l], k_row])
-        v_all = np.vstack([dec_state.self_v[l], v_row])
+        k_all = np.vstack([dec_state.self_k[l], _project(params, pre, "k", a_in)])
+        v_all = np.vstack([dec_state.self_v[l], _project(params, pre, "v", a_in)])
         new_k.append(k_all)
         new_v.append(v_all)
-        a_out = _attend_precomputed(params, pre, a_in, k_all, v_all)
-        h = h + a_out
-        c_in, _ = layer_norm(h, params.tensors[f"dec.{l}.ln2.g"],
-                             params.tensors[f"dec.{l}.ln2.b"])
-        c_out, _ = attention(params, f"dec.{l}.cross_attn", c_in, mem_vis, None)
-        h = h + c_out
-        f_in, _ = layer_norm(h, params.tensors[f"dec.{l}.ln3.g"],
-                             params.tensors[f"dec.{l}.ln3.b"])
+        h = h + _attend_precomputed(params, pre, a_in, k_all, v_all)
+        c_in, _ = layer_norm(h, t[f"dec.{l}.ln2.g"], t[f"dec.{l}.ln2.b"])
+        h = h + _attend_precomputed(params, f"dec.{l}.cross_attn", c_in,
+                                    enc_state.cross_k[l][:visible],
+                                    enc_state.cross_v[l][:visible])
+        f_in, _ = layer_norm(h, t[f"dec.{l}.ln3.g"], t[f"dec.{l}.ln3.b"])
         f_out, _ = ffn(params, f"dec.{l}.ffn", f_in)
         h = h + f_out
-    hf, _ = layer_norm(h, params.tensors["dec.final_ln.g"],
-                       params.tensors["dec.final_ln.b"])
-    logits = hf @ params.tensors[params.out_proj_name].T
+    hf, _ = layer_norm(h, t["dec.final_ln.g"], t["dec.final_ln.b"])
+    logits = hf @ t[params.out_proj_name].T
     logp = log_softmax(logits)[0]
-    new_state = DecoderState(self_k=tuple(new_k), self_v=tuple(new_v), step=t + 1)
+    new_state = DecoderState(self_k=tuple(new_k), self_v=tuple(new_v), step=step + 1)
     return logp, new_state
 
 
 def _attend_precomputed(params: Parameters, prefix: str, q_in: np.ndarray,
-                        k_all: np.ndarray, v_all: np.ndarray) -> np.ndarray:
-    """Attention where keys/values are already projected (decoder self-attn
-    with cache). No mask: the query is the newest position and sees all."""
+                        k_all: np.ndarray, v_all: np.ndarray,
+                        mask: np.ndarray | None = None) -> np.ndarray:
+    """Attention of q_in rows over keys/values that are already projected
+    (the streaming caches); without a mask every query sees every key."""
     t = params.tensors
     nh = params.config.n_heads
     scale = 1.0 / math.sqrt(params.config.head_dim)
-    q = q_in @ t[f"{prefix}.wq"] + t[f"{prefix}.bq"]
+    q = _project(params, prefix, "q", q_in)
     qh, kh, vh = _split_heads(q, nh), _split_heads(k_all, nh), _split_heads(v_all, nh)
-    p = _masked_softmax(qh @ kh.swapaxes(1, 2) * scale)
+    scores = qh @ kh.swapaxes(1, 2) * scale
+    if mask is not None:
+        scores = scores + mask[None, :, :]
+    p = _masked_softmax(scores)
     return _merge_heads(p @ vh) @ t[f"{prefix}.wo"] + t[f"{prefix}.bo"]
 
 
@@ -646,27 +708,49 @@ def save_checkpoint(params: Parameters, path) -> None:
 
 
 def load_checkpoint(path) -> Parameters:
+    """Read a checkpoint written by ``save_checkpoint``.
+
+    The file is untrusted: its manifest is checked against the tensor
+    table its config implies (names, shapes, payload bounds) before any
+    tensor is built, and every defect raises ValueError.
+    """
     with open(path, "rb") as f:
         data = f.read()
     if data[: len(_CKPT_MAGIC)] != _CKPT_MAGIC:
         raise ValueError(f"{path} is not a checkpoint (bad magic)")
     n = int.from_bytes(data[8:16], "little")
-    manifest = json.loads(data[16 : 16 + n].decode())
-    payload = data[16 + n :]
-    config = ModelConfig.from_dict(manifest["config"])
-    tensors: dict[str, np.ndarray] = {}
+    if 16 + n > len(data):
+        raise ValueError(f"{path}: manifest length {n} runs past the end of the file")
+    try:
+        manifest = json.loads(data[16 : 16 + n].decode())
+    except ValueError as e:
+        raise ValueError(f"{path}: unreadable manifest ({e})") from e
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("tensors"), list):
+        raise ValueError(f"{path}: manifest needs a config and a tensor list")
+    config = ModelConfig.from_dict(manifest.get("config"))
+    payload = memoryview(data)[16 + n :]
+
+    layout: dict[str, tuple] = {}
     for e in manifest["tensors"]:
-        shape = tuple(e["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        start = e["offset"]
-        arr = np.frombuffer(payload, dtype="<f8", count=count, offset=start)
-        tensors[e["name"]] = arr.reshape(shape).astype(np.float64)
-    expect = init_parameters(config, seed=0).tensors
-    if set(tensors) != set(expect):
-        missing = set(expect) ^ set(tensors)
-        raise ValueError(f"checkpoint tensor names do not match config: {sorted(missing)}")
-    for name, ref in expect.items():
-        if tensors[name].shape != ref.shape:
-            raise ValueError(f"tensor {name} has shape {tensors[name].shape}, "
-                             f"expected {ref.shape}")
+        if not (isinstance(e, dict) and isinstance(e.get("name"), str)
+                and isinstance(e.get("shape"), list) and type(e.get("offset")) is int):
+            raise ValueError(f"{path}: malformed tensor entry {str(e)[:80]}")
+        if e["name"] in layout:
+            raise ValueError(f"{path}: tensor {e['name']} listed twice")
+        layout[e["name"]] = (tuple(e["shape"]), e["offset"])
+    expect = parameter_shapes(config)
+    if set(layout) != set(expect):
+        raise ValueError(f"checkpoint tensor names do not match config: "
+                         f"{sorted(set(expect) ^ set(layout))}")
+    for name, shape in expect.items():
+        got, offset = layout[name]
+        if got != shape:
+            raise ValueError(f"tensor {name} has shape {got}, expected {shape}")
+        if not 0 <= offset <= len(payload) - 8 * math.prod(shape):
+            raise ValueError(f"tensor {name} lies outside the payload")
+
+    tensors = {}
+    for name, shape in expect.items():
+        arr = np.frombuffer(payload, dtype="<f8", count=math.prod(shape), offset=layout[name][1])
+        tensors[name] = arr.reshape(shape).astype(np.float64)
     return Parameters(config=config, tensors=tensors)

@@ -123,6 +123,12 @@ class ModelSession:
         self._pending = None
         self.prev = token
 
+    def reset_target(self) -> None:
+        """Start a new target sentence; the encoded source is kept."""
+        self.dec = None
+        self.prev = BOS
+        self._pending = None
+
 
 def ensemble_logprobs(per_model: Sequence[np.ndarray]) -> np.ndarray:
     """Combine per-model log-probability rows by averaging in log space

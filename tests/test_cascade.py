@@ -22,7 +22,6 @@ class ScriptedSession:
         self.calls = []
         self.i = 0
         self.n_encoded = 0
-        self.dec = None
         self.prev = BOS
         self._pending = None
 
@@ -42,6 +41,11 @@ class ScriptedSession:
         self._pending = None
         self.prev = token
         self.i += 1
+
+    def reset_target(self):
+        self.calls.append(("reset",))
+        self.prev = BOS
+        self._pending = None
 
 
 def word_per_token_mt(sessions_or_script, **kw):
@@ -309,12 +313,14 @@ def test_cascade_target_reset_flag():
     # first utterance writes 7, 8 (budget 2); after the second endpoint the
     # recorded prefix token is BOS again rather than 8
     assert prevs == [BOS, 7, BOS]
+    assert ("reset",) in sess.calls
 
     sess2 = ScriptedSession([7, 8, 9, EOS])
     C.cascade_decode(stream, word_per_token_mt([sess2]), cfg, total_ms=6000.0,
                      reset_target_on_endpoint=False)
     prevs2 = [c[2] for c in sess2.calls if c[0] == "probs"]
     assert prevs2 == [BOS, 7, 8]         # prefix persists across endpoints
+    assert ("reset",) not in sess2.calls
 
 
 def test_cascade_normalizes_transcripts():

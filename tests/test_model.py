@@ -1,4 +1,8 @@
+import dataclasses
+import hashlib
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -39,6 +43,22 @@ def test_init_deterministic_and_shaped():
     assert a.tensors["enc.0.ffn.w1"].shape == (16, 24)
     assert np.all(a.tensors["enc.0.ln1.g"] == 1.0)
     assert np.all(a.tensors["enc.0.attn.bq"] == 0.0)
+    shapes = M.parameter_shapes(a.config)
+    assert list(shapes) == list(a.tensors)
+    assert all(a.tensors[k].shape == shape for k, shape in shapes.items())
+
+
+def test_init_parameters_draws_are_pinned():
+    # digest of names, shapes and float64 bytes in creation order; a change
+    # means seeded models (and checkpoint layouts) differ from before
+    params = M.init_parameters(M.desk_config(12), seed=0)
+    h = hashlib.sha256()
+    for name, arr in params.tensors.items():
+        h.update(name.encode())
+        h.update(repr(arr.shape).encode())
+        h.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    assert h.hexdigest() == \
+        "675063c4caac0c010d9650ec074472fd6795aedff39ac612162e9b2d4f05b8c3"
 
 
 def test_tying_is_structural():
@@ -61,6 +81,19 @@ def test_sinusoid_rows():
     assert rows[2, 1] == math.cos(2.0)
     # offset slicing consistency: rows computed at an offset match
     assert np.array_equal(M.sinusoid_rows(5, 2, 8), M.sinusoid_rows(0, 10, 8)[5:7])
+
+
+def test_layer_norm_is_bitwise_the_two_call_form():
+    rng = np.random.default_rng(7)
+    for shape in ((1, 64), (37, 64), (5, 16), (3, 2, 24)):
+        x = rng.normal(size=shape) * rng.uniform(0.1, 100.0) + rng.uniform(-50, 50)
+        g, b = rng.normal(size=shape[-1]), rng.normal(size=shape[-1])
+        for xs in (x, np.asfortranarray(x)):
+            inv = 1.0 / np.sqrt(xs.var(axis=-1, keepdims=True) + 1e-5)
+            xhat = (xs - xs.mean(axis=-1, keepdims=True)) * inv
+            y, (xh, iv, _) = M.layer_norm(xs, g, b)
+            assert np.array_equal(y, xhat * g + b)
+            assert np.array_equal(xh, xhat) and np.array_equal(iv, inv)
 
 
 def test_visible_source_len():
@@ -124,6 +157,77 @@ def test_encode_prefix_does_not_mutate_input_state():
     assert st1.n_tokens == 3
     assert np.array_equal(st1.memory, mem1)
     assert np.array_equal(st2.memory[:3], mem1)  # old rows extended, not changed
+
+
+def _state_arrays(st):
+    """Every array an EncoderState holds, by field name."""
+    out = {}
+    for f in dataclasses.fields(st):
+        value = getattr(st, f.name)
+        if f.name != "n_tokens":
+            out[f.name] = [value] if isinstance(value, np.ndarray) else list(value)
+    return out
+
+
+def test_extending_a_state_twice_leaves_the_parent_unchanged():
+    params = small_params()
+    rng = np.random.default_rng(5)
+    head = rand_sentence(rng, 7)
+    parent = M.encode_prefix(params, head)
+    before = {k: [a.copy() for a in v] for k, v in _state_arrays(parent).items()}
+    for tail in (rand_sentence(rng, 5), rand_sentence(rng, 3)):
+        child = M.encode_prefix(params, tail, parent)
+        fresh = M.encode_prefix(params, head + tail)
+        assert child.n_tokens == fresh.n_tokens == len(head) + len(tail)
+        got, want = _state_arrays(child), _state_arrays(fresh)
+        for name in want:
+            for a, b in zip(got[name], want[name], strict=True):
+                assert a.shape == b.shape and np.abs(a - b).max() < 1e-12, name
+    assert parent.n_tokens == len(head)
+    for name, arrays in _state_arrays(parent).items():
+        assert all(np.array_equal(a, b) for a, b in zip(arrays, before[name], strict=True))
+
+
+def oracle_step(params, mem, history, prev, visible):
+    """A decoder step written from the primitives, with no caches:
+    cross-attention runs ``attention`` over the memory sliced to
+    ``visible`` and self-attention over every earlier layer input, kept per
+    layer in ``history`` (appended to in place)."""
+    t = params.tensors
+    h = M._embed(params, params.tgt_embed_name, np.array([prev]), len(history[0]))
+    for l, rows in enumerate(history):
+        a_in, _ = M.layer_norm(h, t[f"dec.{l}.ln1.g"], t[f"dec.{l}.ln1.b"])
+        rows.append(a_in)
+        a_out, _ = M.attention(params, f"dec.{l}.self_attn", a_in, np.vstack(rows), None)
+        h = h + a_out
+        c_in, _ = M.layer_norm(h, t[f"dec.{l}.ln2.g"], t[f"dec.{l}.ln2.b"])
+        c_out, _ = M.attention(params, f"dec.{l}.cross_attn", c_in, mem[:visible], None)
+        h = h + c_out
+        f_in, _ = M.layer_norm(h, t[f"dec.{l}.ln3.g"], t[f"dec.{l}.ln3.b"])
+        f_out, _ = M.ffn(params, f"dec.{l}.ffn", f_in)
+        h = h + f_out
+    hf, _ = M.layer_norm(h, t["dec.final_ln.g"], t["dec.final_ln.b"])
+    return M.log_softmax(hf @ t[params.out_proj_name].T)[0]
+
+
+def test_cached_decode_matches_uncached_oracle_over_long_sources():
+    params = small_params(seed=2)
+    rng = np.random.default_rng(11)
+    for n in (300, int(rng.integers(1, 300)), int(rng.integers(1, 40))):
+        x = np.asarray(rand_sentence(rng, n), dtype=np.int64)
+        mem, _ = M.encoder_forward(params, x)
+        enc, dec, prev = None, None, BOS
+        history = [[] for _ in range(params.config.n_dec_layers)]
+        while enc is None or enc.n_tokens < n:
+            z0 = 0 if enc is None else enc.n_tokens
+            enc = M.encode_prefix(params, x[z0:z0 + int(rng.integers(1, 41))], enc)
+            assert np.abs(enc.memory - mem[:enc.n_tokens]).max() < 1e-12
+            for _ in range(int(rng.integers(1, 4))):
+                visible = int(rng.integers(1, enc.n_tokens + 1))
+                lp, dec = M.decode_step(params, enc, dec, prev, visible)
+                want = oracle_step(params, mem, history, prev, visible)
+                assert np.abs(lp - want).max() < 1e-12
+                prev = int(rng.integers(4, 16))
 
 
 def test_encoder_is_causal_bitwise():
@@ -190,6 +294,80 @@ def test_checkpoint_roundtrip(tmp_path):
     assert set(back.tensors) == set(params.tensors)
     for k in params.tensors:
         assert np.array_equal(back.tensors[k], params.tensors[k])
+
+
+def _split_checkpoint(path):
+    data = path.read_bytes()
+    n = int.from_bytes(data[8:16], "little")
+    return json.loads(data[16:16 + n]), data[16 + n:]
+
+
+def _write_checkpoint(path, manifest, payload=b""):
+    raw = json.dumps(manifest).encode()
+    path.write_bytes(b"SMTCKPT1" + len(raw).to_bytes(8, "little") + raw + payload)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda c: {**c, "dropout": 0.1},                                   # unknown key
+    lambda c: {k: v for k, v in c.items() if k != "d_ffn"},            # missing key
+    lambda c: list(c.values()),                                        # not a mapping
+    lambda c: None,
+    lambda c: {**c, "d_model": "16"},                                  # wrong types
+    lambda c: {**c, "joint_vocabulary": 1},
+])
+def test_checkpoint_rejects_bad_config(tmp_path, edit):
+    p = tmp_path / "m.ckpt"
+    M.save_checkpoint(small_params(), p)
+    manifest, payload = _split_checkpoint(p)
+    manifest["config"] = edit(manifest["config"])
+    _write_checkpoint(p, manifest, payload)
+    with pytest.raises(ValueError):
+        M.load_checkpoint(p)
+
+
+def test_checkpoint_rejects_bad_layout(tmp_path):
+    p = tmp_path / "m.ckpt"
+    M.save_checkpoint(small_params(), p)
+    manifest, payload = _split_checkpoint(p)
+    entries = manifest["tensors"]
+    bad = [
+        entries[1:],                                                   # name missing
+        entries + [dict(entries[0])],                                  # listed twice
+        [{**entries[0], "shape": [16, 15]}] + entries[1:],             # wrong shape
+        [{**entries[0], "offset": len(payload)}] + entries[1:],        # past the end
+        [{**entries[0], "offset": -8}] + entries[1:],
+        [{**entries[0], "offset": "0"}] + entries[1:],                 # malformed
+        [None] + entries[1:],
+    ]
+    for tensors in bad:
+        _write_checkpoint(p, {**manifest, "tensors": tensors}, payload)
+        with pytest.raises(ValueError):
+            M.load_checkpoint(p)
+    _write_checkpoint(p, manifest, payload[:-8])                       # truncated payload
+    with pytest.raises(ValueError):
+        M.load_checkpoint(p)
+    p.write_bytes(p.read_bytes()[:40])                                 # truncated manifest
+    with pytest.raises(ValueError):
+        M.load_checkpoint(p)
+
+
+def test_checkpoint_header_is_checked_before_allocating(tmp_path):
+    # a header that declares a 200k-token vocabulary but carries no payload
+    # must be rejected without building ~100 MB of tensors first
+    cfg = M.desk_config(200_000)
+    entries = [{"name": name, "shape": list(shape), "offset": 0}
+               for name, shape in M.parameter_shapes(cfg).items()]
+    p = tmp_path / "huge.ckpt"
+    for tensors in ([], entries):
+        _write_checkpoint(p, {"config": cfg.to_dict(), "tensors": tensors})
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError):
+                M.load_checkpoint(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
 
 
 def test_checkpoint_rejects_garbage(tmp_path):
