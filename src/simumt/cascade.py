@@ -30,11 +30,14 @@ from .online import (ActionTrace, ReadEvent, WriteEvent, ensemble_logprobs,
 from .vocab import EOS
 
 INFINITE_COST = math.inf
+# the longest audio a word may end at: 24 hours, in milliseconds
+MAX_STREAM_MS = 24 * 3600 * 1000.0
 
 
 @dataclass(frozen=True)
 class TimedWord:
-    """One word with its span in the audio, in milliseconds."""
+    """One word with its span in the audio, in milliseconds; the span must
+    be finite and end by ``MAX_STREAM_MS``."""
 
     word: str
     start_ms: float
@@ -43,8 +46,11 @@ class TimedWord:
     def __post_init__(self) -> None:
         if not self.word or any(c.isspace() for c in self.word):
             raise ValueError(f"bad word {self.word!r}")
-        if self.start_ms < 0 or self.duration_ms <= 0:
-            raise ValueError("need start_ms >= 0 and duration_ms > 0")
+        # written so that NaN fails every test
+        if not (0 <= self.start_ms and 0 < self.duration_ms
+                and self.start_ms + self.duration_ms <= MAX_STREAM_MS):
+            raise ValueError(f"need start_ms >= 0, duration_ms > 0 and an end by "
+                             f"{MAX_STREAM_MS:.0f} ms, got {self.start_ms!r}, {self.duration_ms!r}")
 
     @property
     def end_ms(self) -> float:

@@ -1,7 +1,14 @@
 """Wait-k transformer: forward, manual backward, incremental inference.
 
-Everything runs in float64 numpy on a single sentence (no batch axis).
-The encoder is unidirectional: every layer applies a causal self-attention
+Everything runs in float64 numpy.  The teacher-forced path (primitives,
+``encoder_forward``, ``decoder_forward``, ``forward_full`` and the
+backward passes) takes a sentence or a batch: ids shaped (n,) or (B, n)
+give hidden rows shaped (n, d) or (B, n, d), and one sentence is simply a
+batch of one.  A batch is padded at the end of every row (``pad_batch``),
+with any token id; the causal masks already keep real rows off the
+padding, a padded target row sees one encoder row, and a zero ``dlogp``
+on padded rows keeps them out of every gradient.  The encoder is
+unidirectional: every layer applies a causal self-attention
 mask, so encoder output row i depends only on source positions <= i.  That
 makes prefix encodings reusable as the source grows, which is the whole
 point for streaming input.
@@ -32,7 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .vocab import BOS, EOS
+from .vocab import BOS, EOS, PAD
 
 NEG_INF = -np.inf
 _LN_EPS = 1e-5
@@ -229,25 +236,39 @@ def layer_norm(x: np.ndarray, g: np.ndarray, b: np.ndarray):
     return xhat * g + b, (xhat, inv, g)
 
 
+def _rows(x: np.ndarray) -> np.ndarray:
+    """All rows of a (..., d) array as one (rows, d) matrix."""
+    return x.reshape(-1, x.shape[-1])
+
+
 def layer_norm_backward(dy: np.ndarray, cache):
     xhat, inv, g = cache
-    dg = (dy * xhat).sum(axis=0)
-    db = dy.sum(axis=0)
+    dg = _rows(dy * xhat).sum(axis=0)
+    db = _rows(dy).sum(axis=0)
     dxhat = dy * g
-    m1 = dxhat.mean(axis=-1, keepdims=True)
-    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+    n = dy.shape[-1]  # add.reduce / n is what .mean computes, without its overhead
+    m1 = np.add.reduce(dxhat, axis=-1, keepdims=True) / n
+    m2 = np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / n
     dx = inv * (dxhat - m1 - xhat * m2)
     return dx, dg, db
 
 
 def _split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
-    m, d = x.shape
-    return x.reshape(m, n_heads, d // n_heads).transpose(1, 0, 2)
+    """(m, d) or (B, m, d) rows to (n_heads, m, d / n_heads) heads, per
+    sentence."""
+    if x.ndim == 2:
+        m, d = x.shape
+        return x.reshape(m, n_heads, d // n_heads).transpose(1, 0, 2)
+    b, m, d = x.shape
+    return x.reshape(b, m, n_heads, d // n_heads).transpose(0, 2, 1, 3)
 
 
 def _merge_heads(x: np.ndarray) -> np.ndarray:
-    h, m, dh = x.shape
-    return x.transpose(1, 0, 2).reshape(m, h * dh)
+    if x.ndim == 3:
+        h, m, dh = x.shape
+        return x.transpose(1, 0, 2).reshape(m, h * dh)
+    b, h, m, dh = x.shape
+    return x.transpose(0, 2, 1, 3).reshape(b, m, h * dh)
 
 
 def _masked_softmax(scores: np.ndarray) -> np.ndarray:
@@ -265,9 +286,9 @@ def causal_mask(m: int, n: int, offset: int = 0) -> np.ndarray:
 
 
 def visibility_mask(visible: np.ndarray, n: int) -> np.ndarray:
-    """Additive mask letting query row i see key columns < visible[i]."""
-    cols = np.arange(n)[None, :]
-    return np.where(cols < np.asarray(visible)[:, None], 0.0, NEG_INF)
+    """Additive mask letting query row i see key columns < visible[..., i];
+    (m,) gives an (m, n) mask and (B, m) a (B, m, n) one."""
+    return np.where(np.arange(n) < np.asarray(visible)[..., None], 0.0, NEG_INF)
 
 
 def _project(params: Parameters, prefix: str, which: str, x: np.ndarray) -> np.ndarray:
@@ -279,7 +300,8 @@ def _project(params: Parameters, prefix: str, which: str, x: np.ndarray) -> np.n
 
 def attention(params: Parameters, prefix: str, q_in: np.ndarray, kv_in: np.ndarray,
               mask: np.ndarray | None):
-    """Multi-head attention of q_in rows over kv_in rows."""
+    """Multi-head attention of q_in rows over kv_in rows, per sentence;
+    ``mask`` is (m, n), shared by the batch, or (B, m, n)."""
     t = params.tensors
     h = params.config.n_heads
     scale = 1.0 / math.sqrt(params.config.head_dim)
@@ -287,9 +309,9 @@ def attention(params: Parameters, prefix: str, q_in: np.ndarray, kv_in: np.ndarr
     k = _project(params, prefix, "k", kv_in)
     v = _project(params, prefix, "v", kv_in)
     qh, kh, vh = _split_heads(q, h), _split_heads(k, h), _split_heads(v, h)
-    scores = qh @ kh.swapaxes(1, 2) * scale
+    scores = qh @ kh.swapaxes(-1, -2) * scale
     if mask is not None:
-        scores = scores + mask[None, :, :]
+        scores = scores + mask[..., None, :, :]
     p = _masked_softmax(scores)
     ah = p @ vh
     a = _merge_heads(ah)
@@ -305,25 +327,26 @@ def attention_backward(params: Parameters, dout: np.ndarray, cache,
     h = params.config.n_heads
     scale = 1.0 / math.sqrt(params.config.head_dim)
 
-    grads[f"{prefix}.wo"] += a.T @ dout
-    grads[f"{prefix}.bo"] += dout.sum(axis=0)
+    grads[f"{prefix}.wo"] += _rows(a).T @ _rows(dout)
+    grads[f"{prefix}.bo"] += _rows(dout).sum(axis=0)
     da = dout @ t[f"{prefix}.wo"].T
     dah = _split_heads(da, h)
 
-    dp = dah @ vh.swapaxes(1, 2)
-    dvh = p.swapaxes(1, 2) @ dah
+    dp = dah @ vh.swapaxes(-1, -2)
+    dvh = p.swapaxes(-1, -2) @ dah
     dscores = p * (dp - (dp * p).sum(axis=-1, keepdims=True))
     dscores *= scale
     dqh = dscores @ kh
-    dkh = dscores.swapaxes(1, 2) @ qh
+    dkh = dscores.swapaxes(-1, -2) @ qh
 
     dq, dk, dv = _merge_heads(dqh), _merge_heads(dkh), _merge_heads(dvh)
-    grads[f"{prefix}.wq"] += q_in.T @ dq
-    grads[f"{prefix}.bq"] += dq.sum(axis=0)
-    grads[f"{prefix}.wk"] += kv_in.T @ dk
-    grads[f"{prefix}.bk"] += dk.sum(axis=0)
-    grads[f"{prefix}.wv"] += kv_in.T @ dv
-    grads[f"{prefix}.bv"] += dv.sum(axis=0)
+    q_rows, kv_rows = _rows(q_in).T, _rows(kv_in).T
+    grads[f"{prefix}.wq"] += q_rows @ _rows(dq)
+    grads[f"{prefix}.bq"] += _rows(dq).sum(axis=0)
+    grads[f"{prefix}.wk"] += kv_rows @ _rows(dk)
+    grads[f"{prefix}.bk"] += _rows(dk).sum(axis=0)
+    grads[f"{prefix}.wv"] += kv_rows @ _rows(dv)
+    grads[f"{prefix}.bv"] += _rows(dv).sum(axis=0)
     dq_in = dq @ t[f"{prefix}.wq"].T
     dkv_in = dk @ t[f"{prefix}.wk"].T + dv @ t[f"{prefix}.wv"].T
     return dq_in, dkv_in
@@ -341,18 +364,20 @@ def ffn_backward(params: Parameters, dout: np.ndarray, cache,
                  grads: dict[str, np.ndarray]) -> np.ndarray:
     x, h1, r, prefix = cache
     t = params.tensors
-    grads[f"{prefix}.w2"] += r.T @ dout
-    grads[f"{prefix}.b2"] += dout.sum(axis=0)
+    grads[f"{prefix}.w2"] += _rows(r).T @ _rows(dout)
+    grads[f"{prefix}.b2"] += _rows(dout).sum(axis=0)
     dr = dout @ t[f"{prefix}.w2"].T
     dh1 = dr * (h1 > 0.0)
-    grads[f"{prefix}.w1"] += x.T @ dh1
-    grads[f"{prefix}.b1"] += dh1.sum(axis=0)
+    grads[f"{prefix}.w1"] += _rows(x).T @ _rows(dh1)
+    grads[f"{prefix}.b1"] += _rows(dh1).sum(axis=0)
     return dh1 @ t[f"{prefix}.w1"].T
 
 
 def _embed(params: Parameters, name: str, ids: np.ndarray, start_pos: int) -> np.ndarray:
+    """Scaled embeddings plus positions; ids (n,) or (B, n), position
+    start_pos at column 0."""
     d = params.config.d_model
-    return params.tensors[name][ids] * math.sqrt(d) + sinusoid_rows(start_pos, len(ids), d)
+    return params.tensors[name][ids] * math.sqrt(d) + sinusoid_rows(start_pos, ids.shape[-1], d)
 
 
 def _embed_backward(params: Parameters, name: str, ids: np.ndarray,
@@ -381,10 +406,49 @@ def with_source_marker(x: Sequence[int]) -> np.ndarray:
     return np.asarray(list(x) + [EOS], dtype=np.int64)
 
 
+def pad_batch(seqs: Sequence[Sequence[int]]):
+    """Sequences as rows PAD-padded at the end to the longest one:
+    ((B, w) int64 ids, (B,) lengths)."""
+    lengths = np.array([len(s) for s in seqs], dtype=np.int64)
+    out = np.full((len(seqs), int(lengths.max())), PAD, dtype=np.int64)
+    for row, s in zip(out, seqs):
+        row[: len(s)] = s
+    return out, lengths
+
+
+def with_source_markers(x: np.ndarray, x_len: np.ndarray) -> np.ndarray:
+    """Padded (B, n) sources with real lengths x_len as (B, n + 1) encoder
+    input: the end marker at column x_len[b], padding after it."""
+    out = np.concatenate([x, np.full((len(x), 1), PAD, dtype=np.int64)], axis=1)
+    out[np.arange(len(x)), x_len] = EOS
+    return out
+
+
+def path_visibility(path: np.ndarray, x_len: np.ndarray) -> np.ndarray:
+    """Encoder rows each target row of a (B, m) path sees.
+
+    ``path[b]`` holds non-decreasing z_t in 1..x_len[b] for the real
+    target positions, then 0 for padding.  Real rows map as in
+    ``visible_source_len``; padded rows see encoder row 0 only.
+    """
+    real = path > 0
+    n_real = real.sum(axis=-1)
+    if (np.any(path < 0) or np.any(n_real == 0)
+            or not np.array_equal(real, np.arange(path.shape[-1]) < n_real[:, None])):
+        raise ValueError("each path needs z >= 1 at its real positions, then 0 padding")
+    if np.any(real[:, 1:] & (path[:, 1:] < path[:, :-1])):
+        raise ValueError("path must be non-decreasing")
+    bound = x_len[:, None]
+    if np.any(path > bound):
+        raise ValueError("path reads past the end of the source")
+    return np.where(real, np.where(path < bound, path, bound + 1), 1)
+
+
 def encoder_forward(params: Parameters, x_model: np.ndarray):
-    """Causal encoder over the full (marker-included) source. Returns
-    (memory, cache)."""
-    n = len(x_model)
+    """Causal encoder over marker-included sources, (n,) or (B, n).
+    Returns (memory, cache)."""
+    x_model = np.asarray(x_model, dtype=np.int64)
+    n = x_model.shape[-1]
     h = _embed(params, params.src_embed_name, x_model, 0)
     mask = causal_mask(n, n)
     layer_caches = []
@@ -423,12 +487,14 @@ def encoder_backward(params: Parameters, cache, dmem: np.ndarray,
 
 def decoder_forward(params: Parameters, mem: np.ndarray, y_in: np.ndarray,
                     visible_model: np.ndarray):
-    """Teacher-forced decoder; row t of the cross mask exposes
-    visible_model[t] encoder rows.  Returns (logprobs (m, V), cache)."""
-    m = len(y_in)
+    """Teacher-forced decoder over ``mem`` (n, d) or (B, n, d); target row
+    t of y_in, (m,) or (B, m), sees the first visible_model[..., t]
+    encoder rows.  Returns (logprobs (m, V) or (B, m, V), cache)."""
+    y_in = np.asarray(y_in, dtype=np.int64)
+    m = y_in.shape[-1]
     h = _embed(params, params.tgt_embed_name, y_in, 0)
     self_mask = causal_mask(m, m)
-    cross_mask = visibility_mask(visible_model, len(mem))
+    cross_mask = visibility_mask(visible_model, mem.shape[-2])
     layer_caches = []
     for l in range(params.config.n_dec_layers):
         a_in, ln1c = layer_norm(h, params.tensors[f"dec.{l}.ln1.g"], params.tensors[f"dec.{l}.ln1.b"])
@@ -454,7 +520,7 @@ def decoder_backward(params: Parameters, cache, dlogp: np.ndarray,
     y_in, layer_caches, lnfc, hf, logp = cache
     dlogits = dlogp - np.exp(logp) * dlogp.sum(axis=-1, keepdims=True)
     e_out = params.tensors[params.out_proj_name]
-    grads[params.out_proj_name] += dlogits.T @ hf
+    grads[params.out_proj_name] += _rows(dlogits).T @ _rows(hf)
     dhf = dlogits @ e_out
     dh, dg, db = layer_norm_backward(dhf, lnfc)
     grads["dec.final_ln.g"] += dg
@@ -482,33 +548,41 @@ def decoder_backward(params: Parameters, cache, dlogp: np.ndarray,
     return dmem
 
 
-def forward_full(params: Parameters, x: Sequence[int], y_in: Sequence[int],
-                 path: Sequence[int]):
-    """Encoder + decoder over one sentence.
+def forward_full(params: Parameters, x, y_in, path, x_len=None):
+    """Encoder + decoder over one sentence or a padded batch.
 
-    ``path`` holds z_t in real source tokens (1..|x|), one per target
-    position; the marker mapping is applied here.  Returns (logprobs, cache).
+    ``x`` holds source ids without the end marker, (n,) or (B, n), and
+    ``x_len`` each row's real length (default: the full width).  ``y_in``
+    and ``path`` are (m,) or (B, m); ``path`` holds z_t in real source
+    tokens (1..|x|) per target position, then 0 on padded positions (see
+    ``path_visibility``); the marker mapping is applied here.  Returns
+    (logprobs (m, V) or (B, m, V), cache).
     """
-    x = np.asarray(x, dtype=np.int64)
-    y_in = np.asarray(y_in, dtype=np.int64)
-    if len(x) == 0 or len(y_in) == 0:
-        raise ValueError("empty sequence")
-    if len(path) != len(y_in):
-        raise ValueError(f"path length {len(path)} != target length {len(y_in)}")
-    zs = np.asarray(path, dtype=np.int64)
-    if np.any(zs[1:] < zs[:-1]):
-        raise ValueError("path must be non-decreasing")
-    visible = np.array([visible_source_len(int(z), len(x)) for z in zs], dtype=np.int64)
-    x_model = with_source_marker(x)
-    mem, enc_cache = encoder_forward(params, x_model)
+    single = np.ndim(x) == 1
+    x, y_in, path = (np.atleast_2d(np.asarray(a, dtype=np.int64)) for a in (x, y_in, path))
+    x_len = np.full(len(x), x.shape[-1]) if x_len is None else np.asarray(x_len, dtype=np.int64)
+    if x.ndim != 2 or x.size == 0 or y_in.size == 0:
+        raise ValueError("need non-empty (B, n) sources and (B, m) targets")
+    if path.shape != y_in.shape or len(y_in) != len(x) or x_len.shape != (len(x),):
+        raise ValueError(f"shapes disagree: x {x.shape}, x_len {x_len.shape}, "
+                         f"y_in {y_in.shape}, path {path.shape}")
+    if np.any(x_len < 1) or np.any(x_len > x.shape[1]):
+        raise ValueError("source lengths must lie in [1, width]")
+    visible = path_visibility(path, x_len)
+    mem, enc_cache = encoder_forward(params, with_source_markers(x, x_len))
     logp, dec_cache = decoder_forward(params, mem, y_in, visible)
-    return logp, (enc_cache, dec_cache)
+    return (logp[0] if single else logp), (enc_cache, dec_cache, single)
 
 
-def backward_full(params: Parameters, cache, dlogp: np.ndarray) -> dict[str, np.ndarray]:
-    enc_cache, dec_cache = cache
-    grads = zero_grads(params)
-    dmem = decoder_backward(params, dec_cache, dlogp, grads)
+def backward_full(params: Parameters, cache, dlogp: np.ndarray,
+                  grads: dict[str, np.ndarray] | None = None) -> dict[str, np.ndarray]:
+    """Add the gradients that ``dlogp`` (shaped like forward_full's
+    logprobs, zero on padded rows) implies into ``grads``, a fresh
+    ``zero_grads`` dict when None, and return it."""
+    enc_cache, dec_cache, single = cache
+    if grads is None:
+        grads = zero_grads(params)
+    dmem = decoder_backward(params, dec_cache, dlogp[None] if single else dlogp, grads)
     encoder_backward(params, enc_cache, dmem, grads)
     return grads
 

@@ -10,6 +10,15 @@ k: only the decoder's cross-attention visibility depends on it.
 Losses are label-smoothed negative log-likelihood averaged over the
 target tokens of a sentence.  Optimization is Adam with an inverse-
 square-root learning-rate schedule and linear warmup.
+
+Sentences are computed in groups, as padded batches (see ``model``): a
+mini-batch is sorted by target length and cut into groups of at most
+``_GROUP_POSITIONS`` padded target positions, each one forward and one
+backward pass.  The enumerated objective (``expected_multi_path_loss``,
+the multi-path ``dev_loss``) encodes each group of sentences once and
+decodes all |x| wait-k paths of a sentence as decoder rows sharing that
+memory (Elbayad et al. 2020, efficient multi-path wait-k), under the same
+budget on rows x target length.  A single sentence is a group of one.
 """
 from __future__ import annotations
 
@@ -23,6 +32,11 @@ from .corpus import SentencePair
 from .vocab import BOS
 
 INFINITE_K = math.inf
+
+# padded target positions (rows x longest target) per forward/backward pass:
+# large enough to amortize per-call overhead, small enough that activations
+# stay a few hundred kB
+_GROUP_POSITIONS = 64
 
 
 def wait_k_z(k: float, t: int, src_len: int) -> int:
@@ -52,7 +66,10 @@ class WaitKPath:
         return wait_k_z(self.k, t, self.src_len)
 
     def zs(self, tgt_len: int) -> np.ndarray:
-        return np.array([self.z(t) for t in range(1, tgt_len + 1)], dtype=np.int64)
+        """z_1..z_tgt_len."""
+        if self.k == INFINITE_K:
+            return np.full(tgt_len, self.src_len, dtype=np.int64)
+        return np.minimum(np.arange(self.k, self.k + tgt_len, dtype=np.int64), self.src_len)
 
 
 @dataclass(frozen=True)
@@ -75,34 +92,141 @@ class LossConfig:
             raise ValueError("smoothing_eps must be in [0, 1)")
 
 
-def label_smoothed_nll(log_probs: np.ndarray, gold: np.ndarray, eps: float):
+def label_smoothed_nll(log_probs: np.ndarray, gold: np.ndarray, eps: float,
+                       lengths: np.ndarray | None = None):
     """Mean label-smoothed negative log-likelihood over target positions.
 
     Per position: -[(1-eps) log p(gold) + eps/(V-1) sum_{v != gold} log p(v)].
-    Returns (loss, dlogp) with dlogp shaped like log_probs, already scaled
-    for the mean over positions.
+    ``log_probs`` (m, V) with ``gold`` (m,) returns (loss, dlogp), with
+    dlogp shaped like log_probs, already scaled for the mean over
+    positions.  A padded batch, (B, m, V) with gold (B, m) and each row's
+    real length in ``lengths``, returns ((B,) losses, dlogp), with dlogp
+    zero on padded positions.
     """
     log_probs = np.asarray(log_probs, dtype=np.float64)
     gold = np.asarray(gold, dtype=np.int64)
-    if log_probs.ndim != 2 or len(gold) != log_probs.shape[0]:
-        raise ValueError("log_probs must be (m, V) with one gold id per row")
-    m, v = log_probs.shape
+    single = lengths is None
+    if single:
+        if log_probs.ndim != 2 or gold.shape != log_probs.shape[:1]:
+            raise ValueError("log_probs must be (m, V) with one gold id per row")
+        log_probs, gold, lengths = log_probs[None], gold[None], [len(gold)]
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if log_probs.ndim != 3 or gold.shape != log_probs.shape[:2] or lengths.shape != gold.shape[:1]:
+        raise ValueError("log_probs must be (B, m, V) with (B, m) gold ids and B lengths")
+    b, m, v = log_probs.shape
     if v < 2:
         raise ValueError("need at least two classes to smooth over")
     if not 0.0 <= eps < 1.0:
         raise ValueError("eps must be in [0, 1)")
     if np.any(gold < 0) or np.any(gold >= v):
         raise ValueError("gold id out of range")
+    if np.any(lengths < 1) or np.any(lengths > m):
+        raise ValueError("lengths must lie in [1, m]")
 
-    rows = np.arange(m)
-    gold_lp = log_probs[rows, gold]
+    real = np.arange(m) < lengths[:, None]
+    gold_lp = np.take_along_axis(log_probs, gold[..., None], axis=-1)[..., 0]
     total_lp = log_probs.sum(axis=-1)
     off = eps / (v - 1)
-    loss = -((1.0 - eps) * gold_lp + off * (total_lp - gold_lp)).mean()
+    per_pos = np.where(real, (1.0 - eps) * gold_lp + off * (total_lp - gold_lp), 0.0)
+    losses = -per_pos.sum(axis=-1) / lengths
 
-    dlogp = np.full_like(log_probs, -off / m)
-    dlogp[rows, gold] = -(1.0 - eps) / m
-    return float(loss), dlogp
+    # padded positions divide by an infinite length: their dlogp is zero
+    denom = np.where(real, lengths[:, None], np.inf)[..., None]
+    dlogp = np.broadcast_to(-off / denom, log_probs.shape).copy()
+    np.put_along_axis(dlogp, gold[..., None], -(1.0 - eps) / denom, axis=-1)
+    if single:
+        return float(losses[0]), dlogp[0]
+    return losses, dlogp
+
+
+def _target_rows(targets, ks, src_lens):
+    """Teacher-forcing rows for (target, k, |x|) triples, padded:
+    (y_in, gold, target lengths, wait-k path with 0 on padding)."""
+    gold, y_len = M.pad_batch(targets)
+    y_in = np.empty_like(gold)
+    y_in[:, 0] = BOS
+    y_in[:, 1:] = gold[:, :-1]
+    path = np.zeros_like(gold)
+    for row, k, n, m in zip(path, ks, src_lens, y_len):
+        row[:m] = WaitKPath(k, n).zs(m)
+    return y_in, gold, y_len, path
+
+
+def _group_losses(params: M.Parameters, pairs, ks, eps: float, grads=None) -> np.ndarray:
+    """Loss of each pair under its wait-k path, as one padded forward pass;
+    with ``grads``, one backward pass adds the sum of their gradients."""
+    x, x_len = M.pad_batch([p.source for p in pairs])
+    y_in, gold, y_len, path = _target_rows([p.target for p in pairs], ks, x_len)
+    logp, cache = M.forward_full(params, x, y_in, path, x_len)
+    losses, dlogp = label_smoothed_nll(logp, gold, eps, y_len)
+    if grads is not None:
+        M.backward_full(params, cache, dlogp, grads)
+    return losses
+
+
+def _length_groups(lengths, rows=None) -> list[list[int]]:
+    """Indices sorted by length (stable), cut into runs whose rows x
+    longest length stay within _GROUP_POSITIONS; an index that alone
+    exceeds it forms its own group.  ``rows[i]`` defaults to 1."""
+    groups: list[list[int]] = []
+    used = 0
+    for i in sorted(range(len(lengths)), key=lengths.__getitem__):
+        r = 1 if rows is None else rows[i]
+        if groups and (used + r) * lengths[i] <= _GROUP_POSITIONS:
+            groups[-1].append(i)
+            used += r
+        else:
+            groups.append([i])
+            used = r
+    return groups
+
+
+def _batch_grads(params: M.Parameters, batch, ks, eps: float):
+    """Per-sentence losses of a mini-batch, in batch order, and the mean of
+    their gradients: sorted by target length, one forward and one backward
+    pass per group of at most _GROUP_POSITIONS padded target positions,
+    all adding into one gradient dict."""
+    grads = M.zero_grads(params)
+    losses = np.empty(len(batch))
+    for group in _length_groups([len(p.target) for p in batch]):
+        losses[group] = _group_losses(params, [batch[i] for i in group],
+                                      [ks[i] for i in group], eps, grads)
+    for name in grads:
+        grads[name] /= len(batch)
+    return losses, grads
+
+
+def _path_losses(params: M.Parameters, pairs, ks, eps: float) -> list[np.ndarray]:
+    """Loss of pairs[i] under each wait-k path in ks[i], no gradients.
+
+    Each group of sentences is encoded once; its (sentence, k) rows are
+    decoded against that memory in chunks of at most _GROUP_POSITIONS
+    padded target positions.
+    """
+    out = [np.empty(len(k)) for k in ks]
+    tgt_lens = [len(p.target) for p in pairs]
+    for group in _length_groups(tgt_lens, [len(k) for k in ks]):
+        x, x_len = M.pad_batch([pairs[i].source for i in group])
+        mem, _ = M.encoder_forward(params, M.with_source_markers(x, x_len))
+        rows = [(g, j) for g, i in enumerate(group) for j in range(len(ks[i]))]
+        step = max(1, _GROUP_POSITIONS // max(tgt_lens[i] for i in group))
+        for c in range(0, len(rows), step):
+            chunk = rows[c : c + step]
+            at = np.array([g for g, _ in chunk])
+            y_in, gold, y_len, path = _target_rows(
+                [pairs[group[g]].target for g, _ in chunk],
+                [ks[group[g]][j] for g, j in chunk], x_len[at])
+            logp, _ = M.decoder_forward(params, mem[at], y_in,
+                                        M.path_visibility(path, x_len[at]))
+            losses, _ = label_smoothed_nll(logp, gold, eps, y_len)
+            for (g, j), loss in zip(chunk, losses):
+                out[group[g]][j] = loss
+    return out
+
+
+def _expected_losses(params: M.Parameters, pairs, eps: float) -> list[float]:
+    per_k = _path_losses(params, pairs, [range(1, len(p.source) + 1) for p in pairs], eps)
+    return [sum(row.tolist()) / len(row) for row in per_k]
 
 
 def path_loss(params: M.Parameters, pair: SentencePair, k: float,
@@ -111,14 +235,9 @@ def path_loss(params: M.Parameters, pair: SentencePair, k: float,
 
     Returns loss, or (loss, grads) when want_grads is set.
     """
-    y = np.asarray(pair.target, dtype=np.int64)
-    path = WaitKPath(k, len(pair.source)).zs(len(y))
-    y_in = np.concatenate([[BOS], y[:-1]])
-    logp, cache = M.forward_full(params, pair.source, y_in, path)
-    loss, dlogp = label_smoothed_nll(logp, y, eps)
-    if not want_grads:
-        return loss
-    return loss, M.backward_full(params, cache, dlogp)
+    grads = M.zero_grads(params) if want_grads else None
+    loss = float(_group_losses(params, [pair], [k], eps, grads)[0])
+    return (loss, grads) if want_grads else loss
 
 
 def multi_path_loss(params: M.Parameters, pair: SentencePair,
@@ -137,9 +256,9 @@ def multi_path_loss(params: M.Parameters, pair: SentencePair,
 
 def expected_multi_path_loss(params: M.Parameters, pair: SentencePair,
                              eps: float = 0.1) -> float:
-    """Exact uniform-over-k objective by enumerating k = 1..|x|."""
-    n = len(pair.source)
-    return sum(path_loss(params, pair, k, eps) for k in range(1, n + 1)) / n
+    """Exact uniform-over-k objective by enumerating k = 1..|x|: the source
+    is encoded once and every path decoded against that memory."""
+    return _expected_losses(params, [pair], eps)[0]
 
 
 def lr_at(step: int, base_lr: float, warmup_steps: int) -> float:
@@ -282,24 +401,18 @@ class TrainResult:
     best_epoch: int = 0
 
 
-def _sentence_loss_grads(params, pair, cfg: LossConfig, rng):
-    if cfg.mode == "single_k":
-        return path_loss(params, pair, cfg.k, cfg.smoothing_eps, want_grads=True)
-    loss, grads, _ = multi_path_loss(params, pair, rng, cfg.smoothing_eps,
-                                     want_grads=True)
-    return loss, grads
-
-
 def dev_loss(params: M.Parameters, pairs: list[SentencePair], cfg: LossConfig) -> float:
     """Deterministic held-out loss: the exact per-sentence objective
-    (enumerated over k in multi_path mode), token-weighted."""
+    (enumerated over k in multi_path mode), token-weighted.  Each group of
+    sentences is encoded once for all of its paths."""
+    if cfg.mode == "single_k":
+        losses = [float(row[0]) for row in
+                  _path_losses(params, pairs, [[cfg.k]] * len(pairs), cfg.smoothing_eps)]
+    else:
+        losses = _expected_losses(params, pairs, cfg.smoothing_eps)
     total = 0.0
     tokens = 0
-    for p in pairs:
-        if cfg.mode == "single_k":
-            loss = path_loss(params, p, cfg.k, cfg.smoothing_eps)
-        else:
-            loss = expected_multi_path_loss(params, p, cfg.smoothing_eps)
+    for p, loss in zip(pairs, losses):
         total += loss * len(p.target)
         tokens += len(p.target)
     return total / tokens
@@ -312,9 +425,14 @@ def train(params: M.Parameters, train_pairs: list[SentencePair],
           log=None) -> TrainResult:
     """Mini-batch training; returns the checkpoint with the best dev loss.
 
-    The batch gradient is the mean of per-sentence gradients.  With zero
-    epochs the initial parameters come back unchanged and the history is
-    empty.  A non-finite training loss aborts with TrainingDiverged.
+    The batch gradient is the mean of per-sentence gradients.  In
+    multi_path mode each sentence draws its k in batch order, one
+    ``rng.integers`` call each; the batch is then sorted by target length
+    and run as groups of at most _GROUP_POSITIONS padded target positions,
+    one forward and one backward pass per group, all adding into one
+    gradient dict.  With zero epochs the initial parameters come back
+    unchanged and the history is empty.  A non-finite training loss aborts
+    with TrainingDiverged.
     """
     if epochs < 0:
         raise ValueError("epochs must be >= 0")
@@ -333,19 +451,18 @@ def train(params: M.Parameters, train_pairs: list[SentencePair],
         token_sum = 0
         for bi, start in enumerate(range(0, len(order), batch_size)):
             batch = [train_pairs[i] for i in order[start : start + batch_size]]
-            acc = M.zero_grads(params)
+            if loss_config.mode == "single_k":
+                ks = [loss_config.k] * len(batch)
+            else:
+                ks = [int(rng.integers(1, len(p.source) + 1)) for p in batch]
+            losses, acc = _batch_grads(params, batch, ks, loss_config.smoothing_eps)
             batch_loss = 0.0
-            for pair in batch:
-                loss, grads = _sentence_loss_grads(params, pair, loss_config, rng)
+            for pair, loss in zip(batch, losses.tolist()):
                 batch_loss += loss
                 loss_sum += loss * len(pair.target)
                 token_sum += len(pair.target)
-                for name, g in grads.items():
-                    acc[name] += g
             if not math.isfinite(batch_loss):
                 raise TrainingDiverged(bi, epoch)
-            for name in acc:
-                acc[name] /= len(batch)
             adam_update(params, acc, opt)
         d_loss = dev_loss(params, dev_pairs, loss_config)
         stats = EpochStats(epoch=epoch, train_loss=loss_sum / token_sum,

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -71,6 +72,19 @@ def test_timed_word_validation():
         C.TimedWord("x", -1.0, 100.0)
     with pytest.raises(ValueError):
         C.TimedWord("x", 0.0, 0.0)
+
+
+@pytest.mark.parametrize("start, dur", [
+    (math.nan, 100.0), (0.0, math.nan), (math.inf, 100.0), (0.0, math.inf),
+    (0.0, -math.inf), (1e12, 100.0), (C.MAX_STREAM_MS - 99.0, 100.0),
+])
+def test_timed_word_rejects_non_finite_and_overlong_spans(start, dur):
+    with pytest.raises(ValueError):
+        C.TimedWord("x", start, dur)
+
+
+def test_timed_word_may_end_at_the_maximum():
+    assert C.TimedWord("x", C.MAX_STREAM_MS - 100.0, 100.0).end_ms == C.MAX_STREAM_MS
 
 
 def test_validate_stream_rejects_overlap():
@@ -419,6 +433,14 @@ def test_timed_stream_malformed_lines(tmp_path):
     p.write_text("a\t0\t100\nb\t50\t100\n")             # overlap
     with pytest.raises(ValueError, match="overlap"):
         C.load_timed_streams(p)
+
+
+def test_timed_stream_bad_times_name_the_line(tmp_path):
+    p = tmp_path / "bad.tsv"
+    for start, dur in (("nan", "10"), ("0", "inf"), ("1e12", "10")):
+        p.write_text(f"a\t0\t100\nb\t{start}\t{dur}\n")
+        with pytest.raises(ValueError, match=rf"{re.escape(str(p))}:2:"):
+            C.load_timed_streams(p)
 
 
 def test_save_segments(tmp_path):

@@ -132,6 +132,96 @@ def test_path_validation():
         M.forward_teacher_forced(params, x, y, [0, 1, 2])    # below 1
 
 
+def random_batch(rng, n_sent, max_src=9, max_tgt=8):
+    """Sentences with random wait-style paths: (sources, targets, paths)."""
+    xs, ys, paths = [], [], []
+    for _ in range(n_sent):
+        n, m = int(rng.integers(1, max_src + 1)), int(rng.integers(1, max_tgt + 1))
+        xs.append(rand_sentence(rng, n))
+        ys.append([BOS] + rand_sentence(rng, m - 1))
+        paths.append(sorted(int(z) for z in rng.integers(1, n + 1, size=m)))
+    return xs, ys, paths
+
+
+def padded(xs, ys, paths, fill=None):
+    """The batch as forward_full takes it; ``fill`` replaces PAD."""
+    x, x_len = M.pad_batch(xs)
+    y_in, y_len = M.pad_batch(ys)
+    path, _ = M.pad_batch(paths)
+    if fill is not None:
+        x[np.arange(x.shape[1]) >= x_len[:, None]] = fill
+        y_in[np.arange(y_in.shape[1]) >= y_len[:, None]] = fill
+    return x, x_len, y_in, path
+
+
+def test_pad_batch_and_path_visibility():
+    ids, lens = M.pad_batch([[4, 5, 6], [7]])
+    assert ids.tolist() == [[4, 5, 6], [7, 0, 0]] and lens.tolist() == [3, 1]
+    ids[1, 2] = 9
+    x_model = M.with_source_markers(ids, lens)
+    assert x_model.tolist() == [[4, 5, 6, EOS], [7, EOS, 9, 0]]
+    # the marker shows once z reaches |x|; padded rows see encoder row 0
+    vis = M.path_visibility(np.array([[1, 2, 3, 3], [1, 0, 0, 0]]), lens)
+    assert vis.tolist() == [[1, 2, 4, 4], [2, 1, 1, 1]]
+    for bad in ([[1, 2, 3, 0], [0, 1, 0, 0]],      # padding before a real position
+                [[1, 2, 3, 3], [0, 0, 0, 0]],      # no real position
+                [[2, 1, 3, 3], [1, 0, 0, 0]],      # decreasing
+                [[1, 2, 4, 4], [1, 0, 0, 0]],      # past |x|
+                [[1, 2, 3, 3], [1, -1, 0, 0]]):
+        with pytest.raises(ValueError):
+            M.path_visibility(np.array(bad), lens)
+
+
+def test_batched_forward_backward_matches_each_sentence():
+    params = small_params(seed=4)
+    rng = np.random.default_rng(8)
+    xs, ys, paths = random_batch(rng, 32)
+    x, x_len, y_in, path = padded(xs, ys, paths)
+    logp, cache = M.forward_full(params, x, y_in, path, x_len)
+    assert logp.shape == (32, y_in.shape[1], 16)
+    dlogp = np.zeros_like(logp)
+    want = M.zero_grads(params)
+    for b in range(32):
+        m = len(ys[b])
+        one, one_cache = M.forward_full(params, xs[b], ys[b], paths[b])
+        assert np.abs(logp[b, :m] - one).max() < 1e-12
+        dlogp[b, :m] = rng.normal(size=one.shape)
+        for name, g in M.backward_full(params, one_cache, dlogp[b, :m]).items():
+            want[name] += g
+    got = M.backward_full(params, cache, dlogp)
+    scale = max(np.abs(g).max() for g in want.values())
+    for name in want:
+        assert np.abs(got[name] - want[name]).max() <= 1e-12 * scale, name
+
+
+def test_padding_content_is_inert_bitwise():
+    # any token id at padded positions leaves real rows and grads unchanged
+    params = small_params(seed=6)
+    rng = np.random.default_rng(9)
+    xs, ys, paths = random_batch(rng, 12)
+    runs = []
+    for fill in (None, 11):
+        x, x_len, y_in, path = padded(xs, ys, paths, fill)
+        logp, cache = M.forward_full(params, x, y_in, path, x_len)
+        real = path > 0
+        dlogp = np.where(real[..., None], np.cos(np.arange(logp.size)).reshape(logp.shape), 0.0)
+        runs.append((logp[real], M.backward_full(params, cache, dlogp)))
+    (lp0, g0), (lp1, g1) = runs
+    assert np.array_equal(lp0, lp1)
+    assert all(np.array_equal(g0[name], g1[name]) for name in g0)
+
+
+def test_backward_full_adds_into_given_grads():
+    params = small_params()
+    x, y, path = [4, 5, 6], [BOS, 7, 8], [1, 2, 3]
+    logp, cache = M.forward_full(params, x, y, path)
+    dlogp = np.ones_like(logp)
+    once = M.backward_full(params, cache, dlogp)
+    acc = M.backward_full(params, cache, dlogp, M.backward_full(params, cache, dlogp))
+    assert acc.keys() == once.keys()
+    assert all(np.allclose(acc[k], 2 * once[k], rtol=1e-12, atol=1e-15) for k in once)
+
+
 def test_encode_prefix_blocks_match_one_shot():
     params = small_params()
     rng = np.random.default_rng(1)

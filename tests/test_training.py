@@ -135,6 +135,65 @@ def test_expected_multi_path_loss_is_enumeration_mean():
 
 
 # ---------------------------------------------------------------------------
+# batched groups
+
+def test_group_matches_per_sentence_losses_and_grads():
+    params = small_params(seed=2)
+    rng = np.random.default_rng(6)
+    pairs = [rand_pair(rng, ns=int(rng.integers(1, 10)), nt=int(rng.integers(0, 9)))
+             for _ in range(32)]
+    ks = [int(rng.integers(1, len(p.source) + 1)) for p in pairs]
+    got = M.zero_grads(params)
+    losses = T._group_losses(params, pairs, ks, 0.1, got)
+    want = M.zero_grads(params)
+    for pair, k, loss in zip(pairs, ks, losses):
+        one, grads = T.path_loss(params, pair, k, want_grads=True)
+        assert loss == pytest.approx(one, rel=1e-12)
+        for name, g in grads.items():
+            want[name] += g / len(pairs)
+    # one tolerance for all tensors: the *.bk grads are analytically zero
+    scale = max(np.abs(g).max() for g in want.values())
+    for name in want:
+        assert np.abs(got[name] / len(pairs) - want[name]).max() <= 1e-12 * scale, name
+
+
+def test_budgeted_groups_match_one_group(monkeypatch):
+    params = small_params(seed=3)
+    rng = np.random.default_rng(7)
+    batch = [rand_pair(rng, ns=int(rng.integers(1, 10)), nt=int(rng.integers(0, 12)))
+             for _ in range(32)]
+    ks = [int(rng.integers(1, len(p.source) + 1)) for p in batch]
+    lengths = [len(p.target) for p in batch]
+    groups = T._length_groups(lengths)
+    assert len(groups) > 4 and sorted(sum(groups, [])) == list(range(32))
+    assert all(len(g) == 1 or len(g) * max(lengths[i] for i in g) <= T._GROUP_POSITIONS
+               for g in groups)
+    budgeted = T._batch_grads(params, batch, ks, 0.1)
+    monkeypatch.setattr(T, "_GROUP_POSITIONS", 10**6)
+    assert len(T._length_groups(lengths)) == 1
+    whole = T._batch_grads(params, batch, ks, 0.1)
+    assert np.allclose(budgeted[0], whole[0], rtol=1e-12, atol=0)
+    scale = max(np.abs(g).max() for g in whole[1].values())
+    for name, g in whole[1].items():
+        assert np.abs(budgeted[1][name] - g).max() <= 1e-12 * scale, name
+
+
+@pytest.mark.parametrize("cfg", [T.LossConfig(), T.LossConfig(mode="single_k", k=3)])
+def test_dev_loss_matches_per_sentence_enumeration(cfg):
+    params = small_params(seed=4)
+    rng = np.random.default_rng(8)
+    pairs = [rand_pair(rng, ns=int(rng.integers(1, 13)), nt=int(rng.integers(0, 13)))
+             for _ in range(40)]
+    total = tokens = 0.0
+    for p in pairs:
+        ks = [cfg.k] if cfg.mode == "single_k" else range(1, len(p.source) + 1)
+        loss = math.fsum(T.path_loss(params, p, k) for k in ks) / len(ks)
+        total += loss * len(p.target)
+        tokens += len(p.target)
+    assert T.dev_loss(params, pairs, cfg) == pytest.approx(total / tokens, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
 # optimizer and schedule
 
 def test_lr_schedule_shape():
@@ -256,6 +315,19 @@ def test_train_is_seed_deterministic():
     assert r1.history == r2.history
     assert all(np.array_equal(r1.params.tensors[k], r2.params.tensors[k])
                for k in r1.params.tensors)
+
+
+def test_train_reproduces_pinned_history():
+    # recorded with per-sentence forward/backward passes before training
+    # ran in padded groups; equal values mean the same k draws and the
+    # same gradients up to rounding
+    params, tr, dev = toy_setup()
+    res = T.train(params, tr, dev, T.LossConfig(), epochs=3, seed=5,
+                  batch_size=16, base_lr=0.2, warmup_steps=50)
+    pinned_train = [3.3629707930560824, 3.1833944858291465, 2.8877032400397984]
+    pinned_dev = [3.2054497045496158, 2.978756845456264, 2.81803291107158]
+    assert [s.train_loss for s in res.history] == pytest.approx(pinned_train, rel=1e-12)
+    assert [s.dev_loss for s in res.history] == pytest.approx(pinned_dev, rel=1e-12)
 
 
 def test_train_divergence_carries_batch_index():
