@@ -20,10 +20,9 @@ from .online import (ActionTrace, OnlinePolicy, ReadEvent, WriteEvent,
                      online_greedy_decode)
 from .cascade import (AsrSnapshot, CascadeConfig, CascadeMT, EndpointRule,
                       TimedWord, cascade_decode, detect_endpoint,
-                      segment_stream, simulate_asr)
+                      segment_stream)
 from .metrics import (BleuBreakdown, TradeoffRecord, average_lagging_ms,
                       average_lagging_words, corpus_bleu, sweep)
-from .features import FeatureMatrix, spec_augment, speed_perturb
 from .normalize import asr_normalize, build_number_lexicon
 from .server import ServerTestset, serve_eval
 

@@ -1,13 +1,13 @@
 """Speech-to-text cascade: simulated streaming ASR feeding an online MT.
 
-The controller alternates between reading fixed-size blocks of audio and
-writing target tokens.  Reading feeds a simulated incremental recognizer;
-when the recognizer endpoints (or the audio runs out) the utterance's
-transcription is normalized, subword-encoded and appended to the MT
-source, and control passes to writing.  Writing emits greedy tokens while
-the written count stays under alpha * |transcribed tokens| + beta, then
-control returns to reading.  The run ends when the MT writes EOS, or at
-audio depletion once the budget is spent.
+`cascade_decode` runs `online.read_write_decode` over timed audio.  A read
+consumes fixed-size blocks through a simulated incremental recognizer
+until it endpoints (or the audio runs out), then appends the utterance's
+normalized, subword-encoded transcription to the MT source.  The policy
+(`CascadeConfig`) writes greedy tokens while the written count stays under
+alpha * |transcribed tokens| + beta, and reads otherwise.  The run ends
+when the MT writes EOS, or at audio depletion once the budget is spent.
+`AudioBlocks` holds the block arithmetic for every speech path.
 
 Endpointing follows four configurable rule shapes over the recognizer
 snapshot: (a) long silence, decoded or not; (b) something decoded, a
@@ -22,12 +22,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .normalize import asr_normalize
-from .online import (ActionTrace, ReadEvent, WriteEvent, ensemble_logprobs,
-                     _as_sessions)
-from .vocab import EOS
+from .online import ActionTrace, Chunk, read_write_decode
 
 INFINITE_COST = math.inf
 # the longest audio a word may end at: 24 hours, in milliseconds
@@ -55,6 +51,28 @@ class TimedWord:
     @property
     def end_ms(self) -> float:
         return self.start_ms + self.duration_ms
+
+
+@dataclass(frozen=True)
+class AudioBlocks:
+    """``total_ms`` of audio read in blocks of ``block_ms``: the last block
+    may be short, and an empty stream still has one block."""
+
+    total_ms: float
+    block_ms: float
+
+    @classmethod
+    def of(cls, words: Sequence[TimedWord], block_ms: float) -> "AudioBlocks":
+        """The blocks of a stream that ends with its last word."""
+        return cls(words[-1].end_ms if words else 0.0, block_ms)
+
+    @property
+    def n_blocks(self) -> int:
+        return max(1, math.ceil(self.total_ms / self.block_ms))
+
+    def consumed_ms(self, blocks: int) -> float:
+        """Audio covered once ``blocks`` blocks are read."""
+        return min(blocks * self.block_ms, self.total_ms)
 
 
 def validate_stream(words: Sequence[TimedWord]) -> None:
@@ -144,6 +162,12 @@ class CascadeConfig:
             raise ValueError("block_ms must be positive")
         object.__setattr__(self, "endpoint_rules", tuple(self.endpoint_rules))
 
+    def write_budget(self, observed: int) -> float:
+        return self.alpha * observed + self.beta
+
+    def waits(self, writes: int, observed: int) -> bool:
+        return observed == 0                 # nothing transcribed yet
+
 
 @dataclass
 class AsrStep:
@@ -223,11 +247,6 @@ class AsrSimulator:
         return out
 
 
-def simulate_asr(stream: Sequence[TimedWord], config: CascadeConfig,
-                 cost_script=None, total_ms: float | None = None) -> AsrSimulator:
-    return AsrSimulator(stream, config.endpoint_rules, cost_script, total_ms)
-
-
 @dataclass
 class CascadeMT:
     """Translation side of the cascade: models plus the text pipeline."""
@@ -250,7 +269,8 @@ def cascade_decode(stream: Sequence[TimedWord], mt: CascadeMT,
                    total_ms: float | None = None,
                    reset_target_on_endpoint: bool = False,
                    hard_cap: int = 1000) -> CascadeResult:
-    """Run the read/write controller over one audio stream.
+    """Run the read/write driver over one audio stream, ``config.sz``
+    blocks at a time per recognizer step.
 
     The trace has one READ per audio block (g_ms stamps the consumed
     audio) and one WRITE per emitted token.  The target-side prefix
@@ -260,83 +280,30 @@ def cascade_decode(stream: Sequence[TimedWord], mt: CascadeMT,
     exactly once at audio depletion.  ``hard_cap`` bounds total writes in
     case EOS never comes (the result is then flagged truncated).
     """
-    sim = simulate_asr(stream, config, cost_script, total_ms)
-    n_blocks = max(1, math.ceil(sim.total_ms / config.block_ms))
-    sessions = _as_sessions(mt.models)
+    sim = AsrSimulator(stream, config.endpoint_rules, cost_script, total_ms)
+    blocks = AudioBlocks(sim.total_ms, config.block_ms)
+    n_blocks = blocks.n_blocks
+    transcribed = 0
 
-    trace: list = []
-    tokens: list[int] = []
-    z_blocks = 0
-    n_written = 0                    # tokens written against the budget
-    x_asr_len = 0                    # transcribed subword tokens so far
-    marker_fed = False
-    truncated = False
+    def turns():
+        nonlocal transcribed
+        start = z = 0
+        while z < n_blocks:
+            z += min(config.sz, n_blocks - z)
+            step = sim.advance(blocks.consumed_ms(z))
+            if step.endpoint_fired or z == n_blocks:
+                words = step.words if step.endpoint_fired else sim.flush()
+                text = asr_normalize(" ".join(words), mt.number_lexicon) if words else ""
+                ids = mt.encode_source(text) if text else []
+                transcribed += len(ids)
+                yield Chunk(ids=ids, units=z - start, ended=z == n_blocks,
+                            restart_target=step.endpoint_fired and reset_target_on_endpoint,
+                            at_ms=blocks.consumed_ms(z))
+                start = z
 
-    def consumed_ms() -> float:
-        return min(z_blocks * config.block_ms, sim.total_ms)
-
-    def feed_transcription(words: list[str]) -> None:
-        nonlocal x_asr_len
-        if not words:
-            return
-        text = asr_normalize(" ".join(words), mt.number_lexicon)
-        ids = mt.encode_source(text) if text else []
-        if ids:
-            for s in sessions:
-                s.extend_source(ids)
-            x_asr_len += len(ids)
-
-    action = "READ"
-    while True:
-        if action == "READ":
-            fired = False
-            done_reading = False
-            while not done_reading:
-                for _ in range(min(config.sz, n_blocks - z_blocks)):
-                    trace.append(ReadEvent(index=z_blocks, timestamp_ms=None))
-                    z_blocks += 1
-                step = sim.advance(consumed_ms())
-                if step.endpoint_fired:
-                    feed_transcription(step.words)
-                    fired = True
-                    done_reading = True
-                if z_blocks == n_blocks:
-                    feed_transcription(sim.flush())
-                    done_reading = True
-            if z_blocks == n_blocks and not marker_fed:
-                for s in sessions:
-                    s.extend_source([EOS])
-                marker_fed = True
-            if fired and reset_target_on_endpoint:
-                for s in sessions:
-                    s.reset_target()
-            action = "WRITE"
-        else:
-            visible = sessions[0].n_encoded
-            if visible == 0 or n_written >= config.alpha * x_asr_len + config.beta:
-                if z_blocks >= n_blocks:
-                    truncated = True
-                    break
-                action = "READ"
-                continue
-            logp = ensemble_logprobs([s.next_logprobs(visible) for s in sessions])
-            tok = int(np.argmax(logp))
-            for s in sessions:
-                s.commit(tok)
-            trace.append(WriteEvent(token=tok, g_tokens=z_blocks, g_ms=consumed_ms()))
-            n_written += 1
-            if tok == EOS:
-                break
-            tokens.append(tok)
-            if n_written >= hard_cap:
-                truncated = True
-                break
-    return CascadeResult(
-        tokens=tokens,
-        trace=ActionTrace(events=tuple(trace), truncated=truncated),
-        transcript_tokens=x_asr_len,
-        truncated=truncated,
-    )
+    tokens, trace = read_write_decode(mt.models, turns(), config, max_writes=hard_cap)
+    return CascadeResult(tokens=tokens, trace=trace, transcript_tokens=transcribed,
+                         truncated=trace.truncated)
 
 
 # ---------------------------------------------------------------------------

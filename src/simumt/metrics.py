@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from .cascade import cascade_decode
+from .cascade import AudioBlocks, cascade_decode
 from .online import ActionTrace, OnlinePolicy, online_greedy_decode
 from .training import INFINITE_K
 
@@ -226,17 +226,16 @@ def sweep_s2t(systems: Sequence[S2TSystem], sz_values: Sequence[float],
             al_w = []
             al_ms = []
             for stream in testset.streams:
-                total_ms = stream[-1].end_ms if stream else 0.0
-                n_blocks = max(1, math.ceil(total_ms / system.config.block_ms))
-                real_sz = n_blocks if sz == INFINITE_K else int(sz)
+                blocks = AudioBlocks.of(stream, system.config.block_ms)
+                real_sz = blocks.n_blocks if sz == INFINITE_K else int(sz)
                 cfg = replace(system.config, sz=real_sz)
                 res = cascade_decode(stream, system.mt, cfg)
                 hyps.append(testset.detokenize(res.tokens).split())
-                if res.tokens and total_ms > 0:
+                if res.tokens and blocks.total_ms > 0:
                     al_w.append(average_lagging_words(
-                        res.trace, n_blocks, len(res.tokens)))
+                        res.trace, blocks.n_blocks, len(res.tokens)))
                     al_ms.append(average_lagging_ms(
-                        res.trace, total_ms, len(res.tokens)))
+                        res.trace, blocks.total_ms, len(res.tokens)))
             bleu = corpus_bleu(hyps, [r.split() for r in testset.references])
             records.append(TradeoffRecord(
                 system_id=system.system_id, k_eval=sz, bleu=bleu.score,

@@ -1,9 +1,16 @@
-"""Streaming greedy decoding with a wait-k read/write policy.
+"""Streaming greedy decoding: one read/write driver over a source.
 
 A decode run produces an action trace: the interleaved sequence of READ
-events (one per source token revealed) and WRITE events (one per target
-token emitted, stamped with g = number of reads that preceded it).
-Latency metrics consume traces; hypotheses are the written tokens.
+events (one per source unit revealed: a token, or a block of audio) and
+WRITE events (one per target token emitted, stamped with g = number of
+reads that preceded it).  Latency metrics consume traces; hypotheses are
+the written tokens.
+
+`read_write_decode` is the only READ/WRITE loop.  A *source* yields a
+`Chunk` per read attempt: local tokens here, READ frames in `server`,
+timed audio through the recognizer in `cascade`.  A *policy* decides from
+what the decoder has observed whether it reads or writes next:
+`OnlinePolicy` for wait-k, `cascade.CascadeConfig` for the cascade.
 
 Decoding keeps incremental encoder/decoder states so each step costs one
 block extension or one decoder step, never a re-run.  Multiple models
@@ -14,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -41,7 +48,7 @@ class ActionTrace:
     """Interleaved reads and writes of one decoding run."""
 
     events: tuple = ()
-    truncated: bool = False         # length cap hit before EOS
+    truncated: bool = False         # stopped by a write budget or cap before EOS
 
     def reads(self) -> list[ReadEvent]:
         return [e for e in self.events if isinstance(e, ReadEvent)]
@@ -81,7 +88,11 @@ class ActionTrace:
 
 @dataclass(frozen=True)
 class OnlinePolicy:
-    """Wait-k with a hypothesis length cap of alpha_len * |x| + beta_len."""
+    """Wait-k: write once z >= k_eval + writes source tokens are observed
+    (or the source has ended), within the write budget alpha_len * z +
+    beta_len that `read_write_decode` applies.  With alpha_len >= 1 the
+    budget binds only once the whole source is read.
+    """
 
     k_eval: float
     alpha_len: float = 1.0
@@ -90,7 +101,13 @@ class OnlinePolicy:
     def __post_init__(self) -> None:
         wait_k_z(self.k_eval, 1, 1)  # validates k
         if self.alpha_len < 0 or self.beta_len < 1:
-            raise ValueError("length cap must allow at least one token")
+            raise ValueError("write budget must allow at least one token")
+
+    def write_budget(self, observed: int) -> float:
+        return self.alpha_len * observed + self.beta_len
+
+    def waits(self, writes: int, observed: int) -> bool:
+        return observed < self.k_eval + writes     # inf stays inf
 
 
 class ModelSession:
@@ -150,67 +167,90 @@ def ensemble_logprobs(per_model: Sequence[np.ndarray]) -> np.ndarray:
     return mean - z
 
 
-def _as_sessions(models) -> list:
+class Chunk(NamedTuple):
+    """What one read attempt revealed."""
+
+    ids: Sequence[int] = ()         # source ids to encode
+    units: int = 0                  # read units consumed: tokens or audio blocks
+    ended: bool = False             # the attempt found the end of the source
+    restart_target: bool = False    # begin a new target sentence (cascade endpoint)
+    at_ms: float | None = None      # audio consumed once this read is done
+
+
+def read_write_decode(models, source, policy, on_write=None,
+                      max_writes: int | None = None):
+    """The read/write loop every streaming decoder runs.
+
+    ``source`` yields one `Chunk` per read attempt.  ``policy`` gives
+    ``write_budget(z)`` and ``waits(writes, z)``, z being the source ids
+    fed so far.  Until the source ends, the driver reads before a write
+    while ``writes >= write_budget(z)`` or ``waits(writes, z)``; after it
+    has ended, a spent budget stops the run as truncated.  The
+    end-of-source marker is fed once, when a read finds the end, and each
+    write sees every row fed.  ``on_write`` hears each written token;
+    ``max_writes`` caps content writes (the run is then truncated).
+
+    ``models`` is a Parameters, a list of Parameters, or session objects
+    exposing extend_source/next_logprobs/commit/reset_target (all members
+    advance in lock step).  Returns (tokens, trace): tokens exclude the
+    final EOS, the trace includes its write.
+    """
     if isinstance(models, M.Parameters):
         models = [models]
-    out = []
-    for m in models:
-        out.append(ModelSession(m) if isinstance(m, M.Parameters) else m)
-    if not out:
+    sessions = [ModelSession(m) if isinstance(m, M.Parameters) else m for m in models]
+    if not sessions:
         raise ValueError("no models given")
-    return out
+    events: list = []
+    tokens: list[int] = []
+    units = observed = 0
+    ended = False
+    at_ms = None
+    while True:
+        spent = len(tokens) >= policy.write_budget(observed)
+        if not ended and (spent or policy.waits(len(tokens), observed)):
+            chunk = next(source)
+            events.extend(ReadEvent(index=i) for i in range(units, units + chunk.units))
+            units += chunk.units
+            at_ms = chunk.at_ms
+            for s in sessions:
+                if chunk.ids:
+                    s.extend_source(chunk.ids)
+                if chunk.ended:
+                    s.extend_source([EOS])
+                if chunk.restart_target:
+                    s.reset_target()
+            observed += len(chunk.ids)
+            ended = chunk.ended
+            continue
+        if spent:
+            return tokens, ActionTrace(events=tuple(events), truncated=True)
+        rows = observed + 1 if ended else observed
+        logp = ensemble_logprobs([s.next_logprobs(rows) for s in sessions])
+        tok = int(np.argmax(logp))
+        for s in sessions:
+            s.commit(tok)
+        if on_write is not None:
+            on_write(tok)
+        events.append(WriteEvent(token=tok, g_tokens=units, g_ms=at_ms))
+        if tok == EOS:
+            return tokens, ActionTrace(events=tuple(events))
+        tokens.append(tok)
+        if max_writes is not None and len(tokens) >= max_writes:
+            return tokens, ActionTrace(events=tuple(events), truncated=True)
 
 
 def online_greedy_decode(models, x: Sequence[int], policy: OnlinePolicy):
-    """Greedy wait-k decoding of one source sentence.
+    """Greedy wait-k decoding of one local sentence: `read_write_decode`
+    over one read per token, then a read that finds the end.
 
-    ``models`` is a Parameters, a list of Parameters, or session objects
-    exposing extend_source/next_logprobs/commit (all members advance in
-    lock step).  Returns (tokens, trace): tokens exclude the final EOS,
-    the trace includes its write.  Reads are per real source token; the
-    end-of-source marker fed to the encoder is bookkeeping, not a read.
-
-    Depletion is observed the way a stream consumer would: the marker is
-    fed only once the schedule demands more tokens than the source holds
-    (a read attempt past the end), not merely when the last real token
-    happens to satisfy the demand.  A served client with no advance
-    knowledge of |x| therefore decodes identically.
+    Depletion is thus observed the way a stream consumer observes it, and
+    the served client (`server.client_waitk_session`) decodes identically.
     """
     x = list(x)
     if not x:
         raise ValueError("empty source")
-    sessions = _as_sessions(models)
-    n = len(x)
-    cap = int(policy.alpha_len * n + policy.beta_len)
-    trace: list = []
-    tokens: list[int] = []
-    z = 0            # real tokens revealed
-    marker_fed = False
-    t = 1
-    while True:
-        want = policy.k_eval + t - 1          # inf stays inf
-        z_t = wait_k_z(policy.k_eval, t, n)
-        while z < z_t:
-            trace.append(ReadEvent(index=z))
-            for s in sessions:
-                s.extend_source([x[z]])
-            z += 1
-        if want > n and not marker_fed:
-            for s in sessions:
-                s.extend_source([EOS])
-            marker_fed = True
-        visible = z + 1 if marker_fed else z
-        logp = ensemble_logprobs([s.next_logprobs(visible) for s in sessions])
-        tok = int(np.argmax(logp))
-        for s in sessions:
-            s.commit(tok)
-        trace.append(WriteEvent(token=tok, g_tokens=z))
-        if tok == EOS:
-            return tokens, ActionTrace(events=tuple(trace))
-        tokens.append(tok)
-        if len(tokens) >= cap:
-            return tokens, ActionTrace(events=tuple(trace), truncated=True)
-        t += 1
+    chunks = [Chunk(ids=(t,), units=1) for t in x] + [Chunk(ended=True)]
+    return read_write_decode(models, iter(chunks), policy)
 
 
 def offline_greedy_decode(models, x: Sequence[int], max_len: int = 200):

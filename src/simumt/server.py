@@ -14,20 +14,27 @@ Frames (one JSON object per line):
     {"act": "SCORE"}                   -> {"bleu": ..., "al_words": ..., ...}
 
 A malformed frame gets {"error": ...} and the connection closes; the
-session is dropped from scoring.  Reads past the end keep answering with
-the end marker.  Writing the end-of-sequence token finishes the session.
+session is dropped from scoring.  A sentence id that already has a
+session is refused.  Reads past the end keep answering with the end
+marker.  Writing the end-of-sequence token finishes the session.
+
+The reference client runs `online.read_write_decode` with its source on
+the wire: a READ frame per token, {"eos": true} as the end.
 """
 from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
+from operator import attrgetter
 import socket
 import socketserver
 import threading
 from dataclasses import dataclass, field
 
+from .cascade import AudioBlocks, validate_stream
 from .metrics import average_lagging_ms, average_lagging_words, corpus_bleu
-from .online import ActionTrace, ReadEvent, WriteEvent
+from .online import ActionTrace, Chunk, ReadEvent, WriteEvent, read_write_decode
 from .vocab import EOS_TOKEN
 
 
@@ -36,7 +43,7 @@ class ServerTestset:
     """What the server serves and scores against.
 
     t2t: sources are token-string sequences.  s2t: sources are TimedWord
-    streams revealed in fixed audio blocks.
+    streams (without overlaps) revealed in fixed audio blocks.
     """
 
     mode: str                       # "t2t" | "s2t"
@@ -52,6 +59,9 @@ class ServerTestset:
             raise ValueError("sources/references length mismatch")
         if not self.sources:
             raise ValueError("empty testset")
+        if self.mode == "s2t":
+            for src in self.sources:
+                validate_stream(src)
 
 
 @dataclass
@@ -60,6 +70,8 @@ class EvalSession:
 
     session_id: int
     revealed: int = 0               # source units handed out
+    blocks: AudioBlocks | None = None  # s2t: the stream's audio blocks
+    next_word: int = 0              # s2t: first word not yet handed out
     events: list = field(default_factory=list)
     hyp_tokens: list[str] = field(default_factory=list)
     done: bool = False
@@ -91,21 +103,19 @@ class _Handler(socketserver.StreamRequestHandler):
                 if act == "SCORE":
                     self._send(server.scores())
                     return
-                if act == "START":
-                    if session is not None:
-                        self._send({"error": "session already started"})
-                        return
-                    session = server.open_session(frame.get("id"))
-                    if session is None:
-                        self._send({"error": "no such sentence"})
-                        return
-                    self._send({"ok": True, "id": session.session_id})
-                    continue
+                if act == "START" and session is not None:
+                    self._send({"error": "session already started"})
+                    return
                 if session is None:
-                    session = server.open_session(None)
-                    if session is None:
-                        self._send({"error": "testset exhausted"})
+                    try:
+                        session = server.open_session(
+                            frame.get("id") if act == "START" else None)
+                    except ValueError as e:
+                        self._send({"error": str(e)})
                         return
+                    if act == "START":
+                        self._send({"ok": True, "id": session.session_id})
+                        continue
                 if act == "READ":
                     self._send(server.reveal(session))
                 elif act == "WRITE":
@@ -145,7 +155,8 @@ class EvalServer(socketserver.ThreadingTCPServer):
 
     # -- session bookkeeping (thread safe) --------------------------------
 
-    def open_session(self, explicit_id) -> EvalSession | None:
+    def open_session(self, explicit_id) -> EvalSession:
+        """Raises ValueError, with the reason to report, if refused."""
         with self._lock:
             if explicit_id is None:
                 sid = self._next_id
@@ -154,10 +165,15 @@ class EvalServer(socketserver.ThreadingTCPServer):
                 try:
                     sid = int(explicit_id)
                 except (TypeError, ValueError):
-                    return None
+                    raise ValueError("no such sentence") from None
             if not 0 <= sid < len(self.testset.sources):
-                return None
-            session = EvalSession(session_id=sid)
+                raise ValueError("no such sentence" if explicit_id is not None
+                                 else "testset exhausted")
+            if sid in self.sessions:
+                raise ValueError(f"sentence {sid} already has a session")
+            blocks = (AudioBlocks.of(self.testset.sources[sid], self.testset.block_ms)
+                      if self.testset.mode == "s2t" else None)
+            session = EvalSession(session_id=sid, blocks=blocks)
             self.sessions[sid] = session
             return session
 
@@ -170,28 +186,22 @@ class EvalServer(socketserver.ThreadingTCPServer):
             session.events.append(ReadEvent(index=session.revealed))
             session.revealed += 1
             return {"token": tok}
-        total_ms = src[-1].end_ms if src else 0.0
-        n_blocks = max(1, math.ceil(total_ms / self.testset.block_ms))
-        if session.revealed >= n_blocks:
+        if session.revealed >= session.blocks.n_blocks:
             return {"eos": True}
-        t0 = session.revealed * self.testset.block_ms
-        t1 = min((session.revealed + 1) * self.testset.block_ms, total_ms)
-        words = [
-            {"word": w.word, "start_ms": w.start_ms, "duration_ms": w.duration_ms}
-            for w in src
-            if t0 < w.end_ms <= t1
-        ]
+        t1 = session.blocks.consumed_ms(session.revealed + 1)
+        # word ends increase (validate_stream): the block's words are the
+        # next ones ending by t1
+        end = bisect_right(src, t1, lo=session.next_word, key=attrgetter("end_ms"))
+        words = [{"word": w.word, "start_ms": w.start_ms, "duration_ms": w.duration_ms}
+                 for w in src[session.next_word:end]]
+        session.next_word = end
         session.events.append(
             ReadEvent(index=session.revealed, timestamp_ms=t1))
         session.revealed += 1
         return {"block_ms": t1, "words": words}
 
     def record_write(self, session: EvalSession, token: str) -> bool:
-        g_ms = None
-        if self.testset.mode == "s2t":
-            src = self.testset.sources[session.session_id]
-            total_ms = src[-1].end_ms if src else 0.0
-            g_ms = min(session.revealed * self.testset.block_ms, total_ms)
+        g_ms = session.blocks.consumed_ms(session.revealed) if session.blocks else None
         session.events.append(
             WriteEvent(token=token, g_tokens=session.revealed, g_ms=g_ms))
         if token == EOS_TOKEN:
@@ -223,13 +233,11 @@ class EvalServer(socketserver.ThreadingTCPServer):
                 al_w.append(average_lagging_words(
                     s.trace(), len(src), len(s.hyp_tokens)))
             else:
-                total_ms = src[-1].end_ms if src else 0.0
-                n_blocks = max(1, math.ceil(total_ms / self.testset.block_ms))
                 al_w.append(average_lagging_words(
-                    s.trace(), n_blocks, len(s.hyp_tokens)))
-                if total_ms > 0:
+                    s.trace(), s.blocks.n_blocks, len(s.hyp_tokens)))
+                if s.blocks.total_ms > 0:
                     al_ms.append(average_lagging_ms(
-                        s.trace(), total_ms, len(s.hyp_tokens)))
+                        s.trace(), s.blocks.total_ms, len(s.hyp_tokens)))
         bleu = corpus_bleu(hyps, refs)
         out = {
             "n_sessions": len(done),
@@ -288,56 +296,28 @@ def client_waitk_session(host: str, port: int, session_id: int, models,
                          policy, vocab) -> list[str]:
     """Translate one served sentence with a wait-k policy.
 
-    Mirrors local greedy decoding, but the source arrives over the wire:
-    the client reads until it holds min(k + t - 1, |x|) tokens (learning
-    |x| only when the end marker comes back), then writes token t.
-    Returns the emitted token strings (end marker excluded).
+    Runs `online.read_write_decode` with the source on the wire, so it
+    decodes exactly as `online.online_greedy_decode` does on the same
+    sentence; a run the write budget truncates is closed with an
+    end-of-sequence WRITE.  Returns the emitted token strings (end marker
+    excluded).
     """
-    from . import model as M
-    from .online import ModelSession, ensemble_logprobs
-    from .vocab import EOS
-
-    if isinstance(models, M.Parameters):
-        models = [models]
-    sessions = [ModelSession(p) for p in models]
     conn = _Conn(host, port)
-    out: list[str] = []
+
+    def reads():
+        while not (reply := conn.call({"act": "READ"})).get("eos"):
+            yield Chunk(ids=(vocab.id(reply["token"]),), units=1)
+        yield Chunk(ended=True)
+
+    def write(token: int) -> None:
+        conn.call({"act": "WRITE", "token": vocab.token(token)})
+
     try:
         conn.call({"act": "START", "id": session_id})
-        n_read = 0
-        src_done = False
-        src_len = None
-        t = 1
-        while True:
-            while not src_done and (policy.k_eval == math.inf
-                                    or n_read < policy.k_eval + t - 1):
-                reply = conn.call({"act": "READ"})
-                if reply.get("eos"):
-                    src_done = True
-                    src_len = n_read
-                    for s in sessions:
-                        s.extend_source([EOS])
-                else:
-                    tok_id = vocab.id(reply["token"])
-                    for s in sessions:
-                        s.extend_source([tok_id])
-                    n_read += 1
-            visible = (M.visible_source_len(n_read, src_len)
-                       if src_done else n_read)
-            logp = ensemble_logprobs([s.next_logprobs(visible) for s in sessions])
-            tok_id = int(logp.argmax())
-            for s in sessions:
-                s.commit(tok_id)
-            tok_str = vocab.token(tok_id)
-            reply = conn.call({"act": "WRITE", "token": tok_str})
-            if reply.get("done"):
-                return out
-            out.append(tok_str)
-            if (src_done
-                    and len(out) >= int(policy.alpha_len * src_len + policy.beta_len)):
-                conn.call({"act": "WRITE", "token": EOS_TOKEN})
-                return out
-            t += 1
+        tokens, trace = read_write_decode(models, reads(), policy, on_write=write)
+        if trace.truncated:
+            conn.call({"act": "WRITE", "token": EOS_TOKEN})
+        return [vocab.token(t) for t in tokens]
     finally:
         conn.close()
 

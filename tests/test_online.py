@@ -140,6 +140,21 @@ def test_length_cap_truncates():
     trace.validate()
 
 
+@pytest.mark.parametrize("alpha_len, gs", [(0.0, [1, 2]), (0.5, [1, 2, 3, 4, 5])])
+def test_write_budget_counts_the_observed_source(alpha_len, gs):
+    # writes < alpha_len * z + 2 over the z tokens read so far; a spent
+    # budget reads on while the source lasts and stops, truncated, once a
+    # read finds its end
+    sess = FakeSession(script=[7] * 10)
+    tokens, trace = O.online_greedy_decode(
+        [sess], x=[4, 5, 6, 7, 8],
+        policy=O.OnlinePolicy(k_eval=1, alpha_len=alpha_len, beta_len=2))
+    assert trace.truncated and trace.g_values() == gs
+    assert len(trace.reads()) == 5
+    assert sess.calls[-1] == ("extend", (EOS,))
+    trace.validate()
+
+
 def test_empty_source_rejected():
     with pytest.raises(ValueError):
         O.online_greedy_decode(small_params(), [], O.OnlinePolicy(k_eval=1))

@@ -1,15 +1,19 @@
 import json
+import math
 import socket
 import time
 from contextlib import contextmanager
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simumt import model as M
 from simumt import server as S
 from simumt.cascade import TimedWord
 from simumt.online import OnlinePolicy, online_greedy_decode
-from simumt.vocab import EOS_TOKEN, Vocabulary
+from simumt.vocab import EOS, EOS_TOKEN, Vocabulary
 
 
 def small_params(seed=0, vocab=16):
@@ -81,6 +85,15 @@ def test_testset_validation():
         S.ServerTestset(mode="t2t", sources=[], references=[], detokenize=detok)
 
 
+def test_s2t_testset_rejects_overlapping_stream():
+    # reveal hands out words in order of their end times, which needs them
+    # to increase; "b" starts inside "a" and ends before it
+    overlapping = [TimedWord("a", 0, 500), TimedWord("b", 100, 100)]
+    with pytest.raises(ValueError, match="overlapping"):
+        S.ServerTestset(mode="s2t", sources=[[TimedWord("ok", 0, 100)], overlapping],
+                        references=["x", "y"], detokenize=detok)
+
+
 # ---------------------------------------------------------------------------
 # t2t protocol
 
@@ -137,6 +150,33 @@ def test_start_errors():
         c = RawClient(host, port)
         assert "error" in c.call({"act": "START", "id": "junk"})
         c.close()
+
+
+def test_duplicate_start_keeps_finished_session():
+    with running(t2t_testset()) as (srv, host, port):
+        c = RawClient(host, port)
+        assert c.call({"act": "START", "id": 0})["ok"]
+        c.call({"act": "READ"})
+        c.call({"act": "WRITE", "token": EOS_TOKEN})
+        c.close()
+        assert S.client_score(host, port)["n_sessions"] == 1
+        c = RawClient(host, port)
+        assert "already has a session" in c.call({"act": "START", "id": 0})["error"]
+        c.close()
+        assert srv.sessions[0].done and not srv.sessions[0].aborted
+        assert S.client_score(host, port)["n_sessions"] == 1
+
+
+def test_auto_assigned_id_refuses_a_taken_sentence():
+    with running(t2t_testset()) as (_, host, port):
+        c1 = RawClient(host, port)
+        assert c1.call({"act": "START", "id": 0})["ok"]
+        c2 = RawClient(host, port)
+        assert "already has a session" in c2.call({"act": "READ"})["error"]
+        c3 = RawClient(host, port)
+        assert c3.call({"act": "READ"}) == {"token": "d"}   # auto id 1
+        for c in (c1, c2, c3):
+            c.close()
 
 
 def test_malformed_frames_abort_session():
@@ -238,6 +278,22 @@ def test_s2t_write_mid_stream_g_ms():
         assert [w.g_ms for w in writes] == [300.0, 300.0]
 
 
+def test_s2t_block_words_at_boundaries():
+    # ends at 100 (on a block edge), 180 and 200 (two in one block), 450
+    stream = [TimedWord("a", 0, 100), TimedWord("b", 120, 60),
+              TimedWord("c", 180, 20), TimedWord("d", 300, 150)]
+    testset = S.ServerTestset(mode="s2t", sources=[stream], references=["x"],
+                              detokenize=detok, block_ms=100.0)
+    with running(testset) as (_, host, port):
+        c = RawClient(host, port)
+        c.call({"act": "START", "id": 0})
+        frames = [c.call({"act": "READ"}) for _ in range(5)]
+        c.close()
+    assert [f["block_ms"] for f in frames] == [100, 200, 300, 400, 450]
+    assert [[w["word"] for w in f["words"]] for f in frames] == \
+        [["a"], ["b", "c"], [], [], ["d"]]
+
+
 # ---------------------------------------------------------------------------
 # reference client against a real model
 
@@ -263,3 +319,89 @@ def test_client_waitk_matches_local_decoding():
     assert remote == local
     assert score["n_sessions"] == 2
     assert 0.0 <= score["bleu"] <= 1.0
+
+
+def served_decode(host, port, sid, srv, params, policy, vocab):
+    """Wire decode of sentence ``sid``: the client's tokens and the g values
+    the server recorded for every write."""
+    tokens = S.client_waitk_session(host, port, sid, params, policy, vocab)
+    writes = srv.sessions[sid].trace().writes()
+    return tokens, [w.token for w in writes], [w.g_tokens for w in writes]
+
+
+def test_client_matches_local_when_the_write_budget_binds_early():
+    # alpha_len = 0: the budget (2 writes) is spent while the source is
+    # still arriving; both paths read to the end, then stop truncated
+    vocab = Vocabulary.build([f"t{i}" for i in range(12)])
+    params = small_params(seed=0, vocab=len(vocab))
+    src = ["t0", "t3", "t5", "t2", "t7", "t1", "t4", "t6"]
+    policy = OnlinePolicy(k_eval=1, alpha_len=0.0, beta_len=2)
+    tokens, trace = online_greedy_decode(params, [vocab.id(t) for t in src], policy)
+    assert trace.truncated and len(tokens) == 2
+    testset = S.ServerTestset(mode="t2t", sources=[src], references=["t1"],
+                              detokenize=detok)
+    with running(testset) as (srv, host, port):
+        remote, written, g = served_decode(host, port, 0, srv, params, policy, vocab)
+    assert remote == [vocab.token(t) for t in tokens]
+    assert written == remote + [EOS_TOKEN]
+    assert g[:-1] == trace.g_values() == [1, 2]
+    assert g[-1] == len(trace.reads()) == 8
+
+
+class ScriptedSession:
+    """Writes a scripted token sequence whatever it reads, and records every
+    source feed and the number of rows each write saw."""
+
+    def __init__(self, script):
+        self.script = script
+        self.calls = []
+
+    def extend_source(self, tokens):
+        self.calls.append(("extend", tuple(tokens)))
+
+    def next_logprobs(self, visible):
+        self.calls.append(("probs", visible))
+        row = np.full(16, -10.0)
+        row[self.script[sum(c[0] == "commit" for c in self.calls)]] = -0.1
+        return row
+
+    def commit(self, token):
+        self.calls.append(("commit", token))
+
+
+POOL = [["t0", "t3", "t5", "t2", "t7", "t1", "t4", "t6"], ["t9"], ["t4", "t4", "t8"],
+        ["t11", "t2", "t0", "t5", "t9"], ["t6", "t1"], ["t3", "t10", "t7", "t2", "t8", "t0"]]
+COPIES = 80       # ids per pool sentence, so no id is STARTed twice
+
+
+def test_client_matches_local_for_random_policies():
+    vocab = Vocabulary.build([f"t{i}" for i in range(12)])
+    testset = S.ServerTestset(
+        mode="t2t", sources=[POOL[i % len(POOL)] for i in range(len(POOL) * COPIES)],
+        references=["t1"] * (len(POOL) * COPIES), detokenize=detok)
+    next_id = list(range(len(POOL)))
+    with running(testset) as (srv, host, port):
+        @settings(max_examples=60, deadline=None)
+        @given(k=st.one_of(st.integers(1, 9), st.just(math.inf)),
+               alpha_len=st.floats(0.0, 2.5), beta_len=st.integers(1, 6),
+               which=st.integers(0, len(POOL) - 1),
+               script=st.lists(st.integers(4, 15), min_size=40, max_size=40),
+               eos_at=st.integers(0, 40))
+        def check(k, alpha_len, beta_len, which, script, eos_at):
+            script = script[:eos_at] + [EOS] + script[eos_at:]
+            policy = OnlinePolicy(k_eval=k, alpha_len=alpha_len, beta_len=beta_len)
+            src = POOL[which]
+            local = ScriptedSession(script)
+            tokens, trace = online_greedy_decode(
+                [local], [vocab.id(t) for t in src], policy)
+            sid = next_id[which]
+            next_id[which] += len(POOL)
+            wire = ScriptedSession(script)
+            remote, written, g = served_decode(host, port, sid, srv, [wire], policy, vocab)
+            assert wire.calls == local.calls
+            assert remote == [vocab.token(t) for t in tokens]
+            assert written == remote + [EOS_TOKEN]
+            closing = [len(trace.reads())] if trace.truncated else []
+            assert g == trace.g_values() + closing
+
+        check()
