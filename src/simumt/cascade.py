@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, Sequence
 
 from .normalize import asr_normalize
@@ -99,6 +100,17 @@ class EndpointRule:
         elif self.cost_threshold is not None:
             raise ValueError(f"kind {self.kind} takes no cost_threshold")
 
+    def fires(self, snap: AsrSnapshot) -> bool:
+        """Whether this rule alone ends the utterance at ``snap``."""
+        if self.kind == "a":
+            return snap.silence_s >= self.t_seconds
+        if self.kind == "d":
+            return snap.utterance_s >= self.t_seconds
+        quiet = snap.decoded_anything and snap.silence_s >= self.t_seconds
+        if self.kind == "c":
+            return quiet
+        return quiet and snap.final_state_reached and snap.cost_relative < self.cost_threshold
+
 
 @dataclass(frozen=True)
 class AsrSnapshot:
@@ -115,25 +127,24 @@ class AsrSnapshot:
             raise ValueError("cost must be infinite when no final state is active")
 
 
+def _in_kind_order(rules: Sequence[EndpointRule]) -> list[EndpointRule]:
+    """Rules by kind a, b, c, d, keeping declaration order within a kind."""
+    return sorted(rules, key=attrgetter("kind"))
+
+
+def _first_firing(snapshot: AsrSnapshot, ordered: Sequence[EndpointRule]):
+    """(True, rule) for the first of ``ordered`` that fires, else
+    (False, None)."""
+    for r in ordered:
+        if r.fires(snapshot):
+            return True, r
+    return False, None
+
+
 def detect_endpoint(snapshot: AsrSnapshot, rules: Sequence[EndpointRule]):
     """First firing rule in kind order a, b, c, d (declaration order within
     a kind); returns (fired, rule_or_None)."""
-    by_kind = {k: [r for r in rules if r.kind == k] for k in "abcd"}
-    for r in by_kind["a"]:
-        if snapshot.silence_s >= r.t_seconds:
-            return True, r
-    for r in by_kind["b"]:
-        if (snapshot.decoded_anything and snapshot.silence_s >= r.t_seconds
-                and snapshot.final_state_reached
-                and snapshot.cost_relative < r.cost_threshold):
-            return True, r
-    for r in by_kind["c"]:
-        if snapshot.decoded_anything and snapshot.silence_s >= r.t_seconds:
-            return True, r
-    for r in by_kind["d"]:
-        if snapshot.utterance_s >= r.t_seconds:
-            return True, r
-    return False, None
+    return _first_firing(snapshot, _in_kind_order(rules))
 
 
 def default_endpoint_rules() -> list[EndpointRule]:
@@ -195,7 +206,7 @@ class AsrSimulator:
         if cost_script is not None and len(cost_script) != len(self.words):
             raise ValueError("cost_script must align with the word stream")
         self.script = list(cost_script) if cost_script is not None else None
-        self.rules = list(rules)
+        self.rules = _in_kind_order(rules)     # ordered once, not per block
         last_end = self.words[-1].end_ms if self.words else 0.0
         self.total_ms = max(total_ms if total_ms is not None else last_end, last_end)
         self.now_ms = 0.0
@@ -232,7 +243,7 @@ class AsrSimulator:
                and self.words[self.next_word].end_ms <= to_ms):
             self.next_word += 1
         snap = self.snapshot()
-        fired, rule = detect_endpoint(snap, self.rules)
+        fired, rule = _first_firing(snap, self.rules)
         emitted: list[str] = []
         if fired:
             emitted = [w.word for w in self.words[self.emit_from : self.next_word]]

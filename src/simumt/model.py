@@ -28,7 +28,10 @@ cross-attention keys/values over the memory.  ``decode_step`` advances one
 target position against the first ``visible`` encoder rows only (the
 cross caches are sliced before any arithmetic, so output is bitwise
 independent of later source content).  Both return new state objects and
-never mutate their inputs.
+never change what their inputs hold.  The caches are head-major
+(H, capacity, d_head) buffers that a chain of states shares and that grow
+in place when the newest state is extended (see `EncoderState`), so an
+extension no longer copies the history it attends over.
 """
 from __future__ import annotations
 
@@ -272,10 +275,12 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
 
 
 def _masked_softmax(scores: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis; -inf entries come out exactly 0."""
-    mx = scores.max(axis=-1, keepdims=True)
-    e = np.exp(scores - mx)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Softmax over the last axis, computed in place in ``scores`` (a
+    fresh array of the caller's); -inf entries come out exactly 0."""
+    scores -= scores.max(axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= scores.sum(axis=-1, keepdims=True)
+    return scores
 
 
 def causal_mask(m: int, n: int, offset: int = 0) -> np.ndarray:
@@ -309,9 +314,10 @@ def attention(params: Parameters, prefix: str, q_in: np.ndarray, kv_in: np.ndarr
     k = _project(params, prefix, "k", kv_in)
     v = _project(params, prefix, "v", kv_in)
     qh, kh, vh = _split_heads(q, h), _split_heads(k, h), _split_heads(v, h)
-    scores = qh @ kh.swapaxes(-1, -2) * scale
+    scores = qh @ kh.swapaxes(-1, -2)
+    scores *= scale
     if mask is not None:
-        scores = scores + mask[..., None, :, :]
+        scores += mask[..., None, :, :]
     p = _masked_softmax(scores)
     ah = p @ vh
     a = _merge_heads(ah)
@@ -373,11 +379,25 @@ def ffn_backward(params: Parameters, dout: np.ndarray, cache,
     return dh1 @ t[f"{prefix}.w1"].T
 
 
+# a pure cache: threads that race on it at worst build equal tables twice
+_POSITION_TABLES: dict[int, np.ndarray] = {}
+
+
+def _position_rows(start: int, n: int, d: int) -> np.ndarray:
+    """``sinusoid_rows(start, n, d)`` sliced from a per-``d`` table that
+    doubles when a position runs past it (same values, bit for bit)."""
+    table = _POSITION_TABLES.get(d)
+    if table is None or len(table) < start + n:
+        size = max(start + n, 2 * len(table) if table is not None else 64)
+        table = _POSITION_TABLES[d] = sinusoid_rows(0, size, d)
+    return table[start : start + n]
+
+
 def _embed(params: Parameters, name: str, ids: np.ndarray, start_pos: int) -> np.ndarray:
     """Scaled embeddings plus positions; ids (n,) or (B, n), position
     start_pos at column 0."""
     d = params.config.d_model
-    return params.tensors[name][ids] * math.sqrt(d) + sinusoid_rows(start_pos, ids.shape[-1], d)
+    return params.tensors[name][ids] * math.sqrt(d) + _position_rows(start_pos, ids.shape[-1], d)
 
 
 def _embed_backward(params: Parameters, name: str, ids: np.ndarray,
@@ -599,35 +619,75 @@ def forward_teacher_forced(params: Parameters, x: Sequence[int], y: Sequence[int
 # ---------------------------------------------------------------------------
 # incremental inference states
 
+@dataclass(eq=False)
+class _Rows:
+    """Row buffers that a chain of states shares, all growing along axis
+    -2, and ``filled``: the length of the newest state written into them,
+    the only one that may append in place."""
+
+    arrays: tuple[np.ndarray, ...]
+    filled: int
+
+
+def _empty_rows(*shapes: tuple[int, ...]) -> _Rows:
+    """Zero-capacity buffers; each shape omits the row axis, second last."""
+    return _Rows(tuple(np.empty(s[:-1] + (0, s[-1])) for s in shapes), 0)
+
+
+def _writable_rows(rows: _Rows, length: int, extra: int) -> _Rows:
+    """Buffers where the state holding rows [0, length) of ``rows`` may
+    write ``extra`` rows after them: ``rows`` itself when that state is
+    the newest of its chain and capacity lasts, else a fresh copy of its
+    rows with room for at least as many again."""
+    need = length + extra
+    if rows.filled == length and need <= rows.arrays[0].shape[-2]:
+        return rows
+    cap = max(need, 2 * length, 8)
+    arrays = []
+    for a in rows.arrays:
+        b = np.empty(a.shape[:-2] + (cap, a.shape[-1]))
+        b[..., :length, :] = a[..., :length, :]
+        arrays.append(b)
+    return _Rows(tuple(arrays), length)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class EncoderState:
     """Grows block by block; rows already encoded are final.
 
-    Each row is normalized and projected once, in the call that adds it:
-    ``enc_k[l]``/``enc_v[l]`` are encoder layer l's self-attention keys
-    and values, ``memory`` is the normed encoder output, and
-    ``cross_k[l]``/``cross_v[l]`` are the memory projected into decoder
-    layer l's cross-attention keys and values.  An extension stacks new
-    rows into fresh arrays, so an existing state never changes.
+    Each row is normalized and projected once, in the call that adds it,
+    into the buffers ``rows`` holds: every encoder layer's self-attention
+    keys and values, (n_enc, 2, H, capacity, d_head); the normed encoder
+    output, (capacity, d), of which ``memory`` is a read-only view; and
+    the memory projected into every decoder layer's cross-attention keys
+    and values, (n_dec, 2, H, capacity, d_head).
+
+    The buffers belong to a chain of states, and a state reads only its
+    first ``n_tokens`` rows, which never change.  Extending the newest
+    state of a chain writes the new rows in place (capacity doubles when
+    it runs out); extending any older state first copies its rows into
+    fresh buffers.  Every state therefore stays immutable as callers see
+    it.  Extending one state from two threads at once is unsupported.
     """
 
-    enc_k: tuple[np.ndarray, ...]
-    enc_v: tuple[np.ndarray, ...]
-    memory: np.ndarray
-    cross_k: tuple[np.ndarray, ...]
-    cross_v: tuple[np.ndarray, ...]
+    rows: _Rows
     n_tokens: int
+
+    @property
+    def memory(self) -> np.ndarray:
+        return _read_only(self.rows.arrays[1][: self.n_tokens])
 
 
 def _empty_encoder_state(params: Parameters) -> EncoderState:
-    d = params.config.d_model
-
-    def empty(n: int) -> tuple[np.ndarray, ...]:
-        return tuple(np.empty((0, d)) for _ in range(n))
-
-    n_enc, n_dec = params.config.n_enc_layers, params.config.n_dec_layers
-    return EncoderState(enc_k=empty(n_enc), enc_v=empty(n_enc), memory=np.empty((0, d)),
-                        cross_k=empty(n_dec), cross_v=empty(n_dec), n_tokens=0)
+    cfg = params.config
+    heads = (cfg.n_heads, cfg.head_dim)
+    return EncoderState(_empty_rows((cfg.n_enc_layers, 2) + heads, (cfg.d_model,),
+                                    (cfg.n_dec_layers, 2) + heads), 0)
 
 
 def encode_prefix(params: Parameters, new_tokens: Sequence[int],
@@ -641,60 +701,60 @@ def encode_prefix(params: Parameters, new_tokens: Sequence[int],
     """
     cfg = params.config
     t = params.tensors
+    nh = cfg.n_heads
     new_ids = np.asarray(new_tokens, dtype=np.int64)
     if new_ids.ndim != 1 or len(new_ids) == 0:
         raise ValueError("need at least one new token")
     if state is None:
         state = _empty_encoder_state(params)
     z0 = state.n_tokens
-    nn = len(new_ids)
+    z = z0 + len(new_ids)
 
     h = _embed(params, params.src_embed_name, new_ids, z0)
-    mask = causal_mask(nn, z0 + nn, offset=z0)
-    enc_k, enc_v = [], []
+    rows = _writable_rows(state.rows, z0, len(new_ids))
+    enc_kv, memory, cross_kv = rows.arrays
+    # one new row may see every key: its causal mask is all zeros
+    mask = causal_mask(len(new_ids), z, offset=z0) if len(new_ids) > 1 else None
     for l in range(cfg.n_enc_layers):
         pre = f"enc.{l}.attn"
         a_in, _ = layer_norm(h, t[f"enc.{l}.ln1.g"], t[f"enc.{l}.ln1.b"])
-        k_all = np.vstack([state.enc_k[l], _project(params, pre, "k", a_in)])
-        v_all = np.vstack([state.enc_v[l], _project(params, pre, "v", a_in)])
-        enc_k.append(k_all)
-        enc_v.append(v_all)
-        h = h + _attend_precomputed(params, pre, a_in, k_all, v_all, mask)
+        kv = enc_kv[l, :, :, :z]
+        kv[0, :, z0:] = _split_heads(_project(params, pre, "k", a_in), nh)
+        kv[1, :, z0:] = _split_heads(_project(params, pre, "v", a_in), nh)
+        h = h + _attend_precomputed(params, pre, a_in, kv[0], kv[1], mask)
         f_in, _ = layer_norm(h, t[f"enc.{l}.ln2.g"], t[f"enc.{l}.ln2.b"])
         f_out, _ = ffn(params, f"enc.{l}.ffn", f_in)
         h = h + f_out
     mem_rows, _ = layer_norm(h, t["enc.final_ln.g"], t["enc.final_ln.b"])
-    cross_k, cross_v = [], []
+    memory[z0:z] = mem_rows
     for l in range(cfg.n_dec_layers):
         pre = f"dec.{l}.cross_attn"
-        cross_k.append(np.vstack([state.cross_k[l], _project(params, pre, "k", mem_rows)]))
-        cross_v.append(np.vstack([state.cross_v[l], _project(params, pre, "v", mem_rows)]))
-    return EncoderState(
-        enc_k=tuple(enc_k),
-        enc_v=tuple(enc_v),
-        memory=np.vstack([state.memory, mem_rows]),
-        cross_k=tuple(cross_k),
-        cross_v=tuple(cross_v),
-        n_tokens=z0 + nn,
-    )
+        cross_kv[l, 0, :, z0:z] = _split_heads(_project(params, pre, "k", mem_rows), nh)
+        cross_kv[l, 1, :, z0:z] = _split_heads(_project(params, pre, "v", mem_rows), nh)
+    rows.filled = z
+    return EncoderState(rows, z)
 
 
 @dataclass(frozen=True)
 class DecoderState:
-    """Self-attention K/V per layer for all target positions so far."""
+    """Self-attention keys and values of every decoder layer for all
+    target positions so far, (n_dec, 2, H, capacity, d_head) in ``rows``;
+    ``self_k[l]`` is layer l's keys as a read-only (H, step, d_head)
+    view.  The buffer is owned, grown and copied as `EncoderState`
+    describes, so replaying a step from an older state copies its rows
+    first."""
 
-    self_k: tuple[np.ndarray, ...]
-    self_v: tuple[np.ndarray, ...]
+    rows: _Rows
     step: int
+
+    @property
+    def self_k(self) -> tuple[np.ndarray, ...]:
+        return tuple(_read_only(self.rows.arrays[0][:, 0, :, : self.step]))
 
 
 def empty_decoder_state(params: Parameters) -> DecoderState:
-    d = params.config.d_model
-    return DecoderState(
-        self_k=tuple(np.empty((0, d)) for _ in range(params.config.n_dec_layers)),
-        self_v=tuple(np.empty((0, d)) for _ in range(params.config.n_dec_layers)),
-        step=0,
-    )
+    cfg = params.config
+    return DecoderState(_empty_rows((cfg.n_dec_layers, 2, cfg.n_heads, cfg.head_dim)), 0)
 
 
 def decode_step(params: Parameters, enc_state: EncoderState,
@@ -709,6 +769,7 @@ def decode_step(params: Parameters, enc_state: EncoderState,
     """
     cfg = params.config
     t = params.tensors
+    nh = cfg.n_heads
     if dec_state is None:
         dec_state = empty_decoder_state(params)
     if not 1 <= visible <= enc_state.n_tokens:
@@ -717,42 +778,41 @@ def decode_step(params: Parameters, enc_state: EncoderState,
 
     ids = np.asarray([prev_token], dtype=np.int64)
     h = _embed(params, params.tgt_embed_name, ids, step)
-    new_k, new_v = [], []
+    rows = _writable_rows(dec_state.rows, step, 1)
+    self_kv = rows.arrays[0][:, :, :, : step + 1]
+    cross_kv = enc_state.rows.arrays[2][:, :, :, :visible]
     for l in range(cfg.n_dec_layers):
         a_in, _ = layer_norm(h, t[f"dec.{l}.ln1.g"], t[f"dec.{l}.ln1.b"])
         pre = f"dec.{l}.self_attn"
-        k_all = np.vstack([dec_state.self_k[l], _project(params, pre, "k", a_in)])
-        v_all = np.vstack([dec_state.self_v[l], _project(params, pre, "v", a_in)])
-        new_k.append(k_all)
-        new_v.append(v_all)
-        h = h + _attend_precomputed(params, pre, a_in, k_all, v_all)
+        self_kv[l, 0, :, step:] = _split_heads(_project(params, pre, "k", a_in), nh)
+        self_kv[l, 1, :, step:] = _split_heads(_project(params, pre, "v", a_in), nh)
+        h = h + _attend_precomputed(params, pre, a_in, self_kv[l, 0], self_kv[l, 1])
         c_in, _ = layer_norm(h, t[f"dec.{l}.ln2.g"], t[f"dec.{l}.ln2.b"])
         h = h + _attend_precomputed(params, f"dec.{l}.cross_attn", c_in,
-                                    enc_state.cross_k[l][:visible],
-                                    enc_state.cross_v[l][:visible])
+                                    cross_kv[l, 0], cross_kv[l, 1])
         f_in, _ = layer_norm(h, t[f"dec.{l}.ln3.g"], t[f"dec.{l}.ln3.b"])
         f_out, _ = ffn(params, f"dec.{l}.ffn", f_in)
         h = h + f_out
     hf, _ = layer_norm(h, t["dec.final_ln.g"], t["dec.final_ln.b"])
     logits = hf @ t[params.out_proj_name].T
     logp = log_softmax(logits)[0]
-    new_state = DecoderState(self_k=tuple(new_k), self_v=tuple(new_v), step=step + 1)
-    return logp, new_state
+    rows.filled = step + 1
+    return logp, DecoderState(rows, step + 1)
 
 
 def _attend_precomputed(params: Parameters, prefix: str, q_in: np.ndarray,
-                        k_all: np.ndarray, v_all: np.ndarray,
+                        kh: np.ndarray, vh: np.ndarray,
                         mask: np.ndarray | None = None) -> np.ndarray:
     """Attention of q_in rows over keys/values that are already projected
-    (the streaming caches); without a mask every query sees every key."""
+    and split into heads, (H, n, d_head) (the streaming caches); without
+    a mask every query sees every key."""
     t = params.tensors
-    nh = params.config.n_heads
     scale = 1.0 / math.sqrt(params.config.head_dim)
-    q = _project(params, prefix, "q", q_in)
-    qh, kh, vh = _split_heads(q, nh), _split_heads(k_all, nh), _split_heads(v_all, nh)
-    scores = qh @ kh.swapaxes(1, 2) * scale
+    qh = _split_heads(_project(params, prefix, "q", q_in), params.config.n_heads)
+    scores = qh @ kh.swapaxes(1, 2)
+    scores *= scale
     if mask is not None:
-        scores = scores + mask[None, :, :]
+        scores += mask
     p = _masked_softmax(scores)
     return _merge_heads(p @ vh) @ t[f"{prefix}.wo"] + t[f"{prefix}.bo"]
 

@@ -14,9 +14,11 @@ Frames (one JSON object per line):
     {"act": "SCORE"}                   -> {"bleu": ..., "al_words": ..., ...}
 
 A malformed frame gets {"error": ...} and the connection closes; the
-session is dropped from scoring.  A sentence id that already has a
-session is refused.  Reads past the end keep answering with the end
-marker.  Writing the end-of-sequence token finishes the session.
+session is dropped from scoring.  A START id must be a JSON integer
+naming a sentence that has no session yet.  Reads past the end keep
+answering with the end marker.  Writing the end-of-sequence token
+finishes the session.  A session accepts at most 2·|source| + 50 content
+WRITEs (|source| in tokens, or words for speech); one more is an error.
 
 The reference client runs `online.read_write_decode` with its source on
 the wire: a READ frame per token, {"eos": true} as the end.
@@ -69,6 +71,7 @@ class EvalSession:
     """Server-side record of one sentence evaluation."""
 
     session_id: int
+    max_writes: int                 # content WRITEs allowed
     revealed: int = 0               # source units handed out
     blocks: AudioBlocks | None = None  # s2t: the stream's audio blocks
     next_word: int = 0              # s2t: first word not yet handed out
@@ -124,7 +127,12 @@ class _Handler(socketserver.StreamRequestHandler):
                         session.aborted = True
                         self._send({"error": "WRITE needs a string token"})
                         return
-                    done = server.record_write(session, tok)
+                    try:
+                        done = server.record_write(session, tok)
+                    except ValueError as e:
+                        session.aborted = True
+                        self._send({"error": str(e)})
+                        return
                     self._send({"ok": True, "done": True} if done else {"ok": True})
                     if done:
                         return
@@ -161,19 +169,20 @@ class EvalServer(socketserver.ThreadingTCPServer):
             if explicit_id is None:
                 sid = self._next_id
                 self._next_id += 1
+            elif type(explicit_id) is int:      # not a bool, float or string
+                sid = explicit_id
             else:
-                try:
-                    sid = int(explicit_id)
-                except (TypeError, ValueError):
-                    raise ValueError("no such sentence") from None
+                raise ValueError("no such sentence")
             if not 0 <= sid < len(self.testset.sources):
                 raise ValueError("no such sentence" if explicit_id is not None
                                  else "testset exhausted")
             if sid in self.sessions:
                 raise ValueError(f"sentence {sid} already has a session")
-            blocks = (AudioBlocks.of(self.testset.sources[sid], self.testset.block_ms)
+            src = self.testset.sources[sid]
+            blocks = (AudioBlocks.of(src, self.testset.block_ms)
                       if self.testset.mode == "s2t" else None)
-            session = EvalSession(session_id=sid, blocks=blocks)
+            session = EvalSession(session_id=sid, max_writes=2 * len(src) + 50,
+                                  blocks=blocks)
             self.sessions[sid] = session
             return session
 
@@ -201,6 +210,10 @@ class EvalServer(socketserver.ThreadingTCPServer):
         return {"block_ms": t1, "words": words}
 
     def record_write(self, session: EvalSession, token: str) -> bool:
+        """Record a WRITE; True once it finishes the session.  A content
+        token past ``session.max_writes`` raises ValueError."""
+        if token != EOS_TOKEN and len(session.hyp_tokens) >= session.max_writes:
+            raise ValueError(f"more than {session.max_writes} WRITEs for this sentence")
         g_ms = session.blocks.consumed_ms(session.revealed) if session.blocks else None
         session.events.append(
             WriteEvent(token=token, g_tokens=session.revealed, g_ms=g_ms))

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import math
@@ -250,13 +249,9 @@ def test_encode_prefix_does_not_mutate_input_state():
 
 
 def _state_arrays(st):
-    """Every array an EncoderState holds, by field name."""
-    out = {}
-    for f in dataclasses.fields(st):
-        value = getattr(st, f.name)
-        if f.name != "n_tokens":
-            out[f.name] = [value] if isinstance(value, np.ndarray) else list(value)
-    return out
+    """Every cache an EncoderState holds, sliced to its rows, by buffer
+    index."""
+    return {i: [a[..., : st.n_tokens, :]] for i, a in enumerate(st.rows.arrays)}
 
 
 def test_extending_a_state_twice_leaves_the_parent_unchanged():
@@ -318,6 +313,72 @@ def test_cached_decode_matches_uncached_oracle_over_long_sources():
                 want = oracle_step(params, mem, history, prev, visible)
                 assert np.abs(lp - want).max() < 1e-12
                 prev = int(rng.integers(4, 16))
+
+
+def test_tip_extensions_grow_buffers_in_place_over_long_chains():
+    params = small_params(seed=3)
+    rng = np.random.default_rng(12)
+    n = 1100
+    x = np.asarray(rand_sentence(rng, n), dtype=np.int64)
+    mem, _ = M.encoder_forward(params, x)
+    enc, reallocations = None, 0
+    for i in range(n):
+        prev = enc
+        enc = M.encode_prefix(params, x[i:i + 1], enc)
+        if prev is None or enc.rows is not prev.rows:
+            reallocations += 1
+            assert prev is None or prev.rows.arrays[1].shape[0] == prev.n_tokens  # was full
+    assert reallocations <= math.ceil(math.log2(n)) + 1
+    assert enc.n_tokens == n and np.abs(enc.memory - mem).max() < 1e-12
+
+    dec, prev_tok = None, BOS
+    history = [[] for _ in range(params.config.n_dec_layers)]
+    for step in range(40):
+        lp, nxt = M.decode_step(params, enc, dec, prev_tok, 1000)
+        assert dec is None or nxt.rows is dec.rows or dec.rows.arrays[0].shape[-2] == step
+        assert np.abs(lp - oracle_step(params, mem, history, prev_tok, 1000)).max() < 1e-12
+        dec, prev_tok = nxt, int(rng.integers(4, 16))
+
+
+def test_extending_an_older_state_copies_it_and_spares_the_tip():
+    params = small_params()
+    rng = np.random.default_rng(6)
+    head, tail = rand_sentence(rng, 7), rand_sentence(rng, 3)
+    parent = M.encode_prefix(params, head)
+    tip = M.encode_prefix(params, tail[:1], parent)
+    assert tip.rows is parent.rows                       # written in place
+    tip_before = {k: [a.copy() for a in v] for k, v in _state_arrays(tip).items()}
+    sibling = M.encode_prefix(params, tail, parent)      # parent is no longer the tip
+    assert sibling.rows is not parent.rows
+    for name, arrays in _state_arrays(tip).items():
+        assert all(np.array_equal(a, b) for a, b in zip(arrays, tip_before[name], strict=True))
+    got, want = _state_arrays(sibling), _state_arrays(M.encode_prefix(params, head + tail))
+    for name in want:
+        for a, b in zip(got[name], want[name], strict=True):
+            assert a.shape == b.shape and np.abs(a - b).max() < 1e-12, name
+    with pytest.raises(ValueError):
+        tip.memory[0, 0] = 1.0                           # views are read-only
+
+    _, d1 = M.decode_step(params, sibling, None, BOS, 5)
+    _, d2 = M.decode_step(params, sibling, d1, 7, 6)
+    k2 = [k.copy() for k in d2.self_k]
+    lp_other, d2_other = M.decode_step(params, sibling, d1, 9, 6)   # replay, other token
+    assert d2_other.rows is not d2.rows
+    assert all(np.array_equal(a, b) for a, b in zip(k2, d2.self_k, strict=True))
+    lp_fresh, _ = M.decode_step(params, sibling, d1, 9, 6)
+    assert np.array_equal(lp_other, lp_fresh)
+
+
+def test_position_table_slices_equal_sinusoid_rows_across_doublings():
+    d = 10                                    # a width no other test uses
+    M._POSITION_TABLES.pop(d, None)
+    for start, n in ((0, 3), (60, 10), (5, 2), (1000, 5), (0, 1200), (7, 1)):
+        assert np.array_equal(M._position_rows(start, n, d), M.sinusoid_rows(start, n, d))
+    assert len(M._POSITION_TABLES[d]) >= 1200
+    params = small_params()
+    ids = np.array([[4, 5, 6], [7, 8, 9]])
+    want = params.tensors["embed"][ids] * math.sqrt(16) + M.sinusoid_rows(40, 3, 16)
+    assert np.array_equal(M._embed(params, "embed", ids, 40), want)
 
 
 def test_encoder_is_causal_bitwise():

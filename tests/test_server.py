@@ -152,6 +152,19 @@ def test_start_errors():
         c.close()
 
 
+def test_start_id_must_be_a_json_integer():
+    # int() used to turn 1.9 into sentence 1 and "0" into sentence 0
+    with running(t2t_testset()) as (srv, host, port):
+        for bad in (1.9, 1.0, "0", True, [0], {"id": 0}):
+            c = RawClient(host, port)
+            assert c.call({"act": "START", "id": bad}) == {"error": "no such sentence"}
+            c.close()
+        assert srv.sessions == {}
+        c = RawClient(host, port)
+        assert c.call({"act": "START", "id": 1}) == {"ok": True, "id": 1}
+        c.close()
+
+
 def test_duplicate_start_keeps_finished_session():
     with running(t2t_testset()) as (srv, host, port):
         c = RawClient(host, port)
@@ -200,6 +213,27 @@ def test_malformed_frames_abort_session():
         assert "error" in c.call({"act": "WRITE", "token": 7})  # non-string
         c.close()
         assert srv.sessions[1].aborted
+
+
+def test_writes_past_the_cap_abort_the_session():
+    # the cap is 2 * |source| + 50 content tokens; 20,000 WRITEs to a
+    # 3-token source were once all accepted
+    with running(t2t_testset()) as (srv, host, port):
+        c = RawClient(host, port)
+        assert c.call({"act": "START", "id": 0})["ok"]
+        for i in range(2 * 3 + 50):
+            assert c.call({"act": "WRITE", "token": f"w{i}"}) == {"ok": True}
+        assert "56 WRITEs" in c.call({"act": "WRITE", "token": "more"})["error"]
+        c.close()
+        assert srv.sessions[0].aborted and len(srv.sessions[0].hyp_tokens) == 56
+
+        c = RawClient(host, port)                 # EOS at the cap still finishes
+        assert c.call({"act": "START", "id": 1})["ok"]
+        for i in range(2 * 2 + 50):
+            c.call({"act": "WRITE", "token": "w"})
+        assert c.call({"act": "WRITE", "token": EOS_TOKEN}) == {"ok": True, "done": True}
+        c.close()
+        assert srv.sessions[1].done and not srv.sessions[1].aborted
 
 
 def test_disconnection_aborts_and_aborted_excluded_from_scores():
