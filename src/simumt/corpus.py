@@ -58,7 +58,8 @@ def filter_length_ratio(pairs: list[SentencePair], max_ratio: float) -> list[Sen
 
 
 def load_parallel_text(path) -> list[tuple[str, str]]:
-    """Read a text corpus; format is sniffed per file (TSV vs JSON lines)."""
+    """Read a text corpus; format is sniffed per line (TSV vs JSON lines).
+    A malformed line raises ValueError naming ``path:line``."""
     pairs: list[tuple[str, str]] = []
     with open(path, encoding="utf-8") as f:
         for ln, line in enumerate(f, 1):
@@ -68,9 +69,12 @@ def load_parallel_text(path) -> list[tuple[str, str]]:
             if line.startswith("{"):
                 try:
                     obj = json.loads(line)
-                    pairs.append((obj["src"], obj["tgt"]))
+                    pair = (obj["src"], obj["tgt"])
                 except (json.JSONDecodeError, KeyError, TypeError) as e:
                     raise ValueError(f"{path}:{ln}: bad JSON corpus line") from e
+                if not all(isinstance(side, str) for side in pair):
+                    raise ValueError(f"{path}:{ln}: src and tgt must be strings")
+                pairs.append(pair)
             else:
                 fields = line.split("\t")
                 if len(fields) != 2:

@@ -5,8 +5,9 @@ corpus, geometric mean over orders 1..4, times a brevity penalty.
 Latency is average lagging, in source tokens for text input and in
 milliseconds for speech input: how far, on average, the writer trails an
 ideal wait-0 writer that consumes the source at the rate the hypothesis
-implies.  The sweep runs systems across a range of laggings and collects
-(quality, latency) pairs for plotting.
+implies.  `score_runs` scores the sweeps and the evaluation server alike.
+The sweep runs systems across a range of laggings and collects (quality,
+latency) pairs for plotting.
 """
 from __future__ import annotations
 
@@ -34,16 +35,11 @@ def _ngrams(tokens: Sequence, n: int) -> Counter:
 
 
 def corpus_bleu(hypotheses: Sequence[Sequence], references: Sequence[Sequence],
-                max_n: int = 4, smoothing: str = "none") -> BleuBreakdown:
+                max_n: int = 4) -> BleuBreakdown:
     """Corpus BLEU over token sequences, one reference per hypothesis.
 
-    With smoothing "none", any order with zero matches zeroes the score.
-    Smoothing "add_one" uses (matches+1)/(total+1) per order; that is a
-    reporting convenience, not the standard definition, so it is off by
-    default.
+    Unsmoothed: any order with zero matches zeroes the score.
     """
-    if smoothing not in ("none", "add_one"):
-        raise ValueError(f"unknown smoothing {smoothing!r}")
     if len(hypotheses) != len(references):
         raise ValueError("hypothesis/reference count mismatch")
     if len(hypotheses) == 0:
@@ -66,13 +62,7 @@ def corpus_bleu(hypotheses: Sequence[Sequence], references: Sequence[Sequence],
             totals[n - 1] += max(len(hyp) - n + 1, 0)
             matches[n - 1] += sum(min(c, ref_counts[g]) for g, c in hyp_counts.items())
 
-    precisions = []
-    for m, t in zip(matches, totals):
-        if smoothing == "add_one":
-            precisions.append((m + 1.0) / (t + 1.0))
-        else:
-            precisions.append(m / t if t > 0 else 0.0)
-
+    precisions = [m / t if t > 0 else 0.0 for m, t in zip(matches, totals)]
     if hyp_len == 0 or any(p == 0.0 for p in precisions):
         geo = 0.0
     else:
@@ -84,9 +74,21 @@ def corpus_bleu(hypotheses: Sequence[Sequence], references: Sequence[Sequence],
                          brevity_penalty=bp, hyp_len=hyp_len, ref_len=ref_len)
 
 
-def _lagging(g: list[float], src_total: float, tgt_len: int,
-             ideal_rate: float) -> float:
-    """Common average-lagging core over a g sequence (token or ms units)."""
+def _lagging(trace: ActionTrace, tgt_len: int, g_of, src_total: float) -> float:
+    """Average-lagging core in token or ms units: ``g_of(w)`` is the source
+    consumed before write w, out of ``src_total``.  Only the first tgt_len
+    writes count, so a trailing EOS write never does.  The ideal writer
+    consumes src_total at the uniform rate src_total / tgt_len, and the
+    window ends at the first write made with the whole source consumed
+    (compared with >= to be safe under float arithmetic), or at tgt_len.
+    """
+    writes = trace.writes()
+    if len(writes) < tgt_len:
+        raise ValueError(f"trace has {len(writes)} writes, need {tgt_len}")
+    g = [g_of(w) for w in writes[:tgt_len]]
+    if any(v > src_total for v in g):
+        raise ValueError("write recorded after more source than the input holds")
+    ideal_rate = src_total / tgt_len
     tau = tgt_len
     for t in range(1, tgt_len + 1):
         if g[t - 1] >= src_total:
@@ -99,45 +101,50 @@ def _lagging(g: list[float], src_total: float, tgt_len: int,
 
 
 def average_lagging_words(trace: ActionTrace, src_len: int, tgt_len: int) -> float:
-    """Average lagging in source tokens.
-
-    ``tgt_len`` is the content length of the hypothesis (EOS excluded);
-    only the first tgt_len writes enter the average, so a trailing EOS
-    write never does.  The averaging window ends at the first write made
-    with the whole source read, or at tgt_len if there is none.
-    """
+    """Average lagging in source tokens; ``tgt_len`` is the content length
+    of the hypothesis (EOS excluded)."""
     if src_len < 1 or tgt_len < 1:
         raise ValueError("src_len and tgt_len must be >= 1")
-    writes = trace.writes()
-    if len(writes) < tgt_len:
-        raise ValueError(f"trace has {len(writes)} writes, need {tgt_len}")
-    g = [float(w.g_tokens) for w in writes[:tgt_len]]
-    if any(v > src_len for v in g):
-        raise ValueError("write recorded after more reads than the source has tokens")
-    return _lagging(g, float(src_len), tgt_len, src_len / tgt_len)
+    return _lagging(trace, tgt_len, lambda w: float(w.g_tokens), float(src_len))
+
+
+def _g_ms(write) -> float:
+    if write.g_ms is None:
+        raise ValueError("write lacks g_ms; not a speech-input trace")
+    return float(write.g_ms)
 
 
 def average_lagging_ms(trace: ActionTrace, total_src_ms: float, tgt_len: int) -> float:
-    """Average lagging in milliseconds of consumed audio.
-
-    The ideal writer consumes total_src_ms at the uniform rate
-    total_src_ms / tgt_len per written token.  The window ends at the
-    first write with all audio consumed (g_ms >= total, compared with >=
-    to be safe under float arithmetic).
-    """
+    """Average lagging in milliseconds of consumed audio."""
     if total_src_ms <= 0 or tgt_len < 1:
         raise ValueError("total_src_ms must be positive and tgt_len >= 1")
-    writes = trace.writes()
-    if len(writes) < tgt_len:
-        raise ValueError(f"trace has {len(writes)} writes, need {tgt_len}")
-    g = []
-    for w in writes[:tgt_len]:
-        if w.g_ms is None:
-            raise ValueError("write lacks g_ms; not a speech-input trace")
-        g.append(float(w.g_ms))
-    if any(v > total_src_ms for v in g):
-        raise ValueError("write recorded after more audio than the stream holds")
-    return _lagging(g, float(total_src_ms), tgt_len, total_src_ms / tgt_len)
+    return _lagging(trace, tgt_len, _g_ms, float(total_src_ms))
+
+
+def _mean(values: list[float]) -> float:
+    return math.fsum(values) / len(values) if values else 0.0
+
+
+def score_runs(runs: Sequence[tuple], references: Sequence[str],
+               detokenize) -> tuple[float, float, float | None]:
+    """(BLEU, mean AL in read units, mean AL in ms) of decoded runs.
+
+    A run is ``(tokens, trace, src_units, total_ms)``: content tokens (no
+    EOS), trace, source length in read units (tokens or audio blocks) and
+    audio ms (None for text); ``references[i]`` belongs to run i.  BLEU
+    compares ``detokenize(tokens).split()`` with the split reference over
+    every run; AL covers runs with content tokens, and a mean over no runs
+    is 0.0.  The ms mean is None for text.
+    """
+    hyps = [detokenize(tokens).split() for tokens, _, _, _ in runs]
+    bleu = corpus_bleu(hyps, [r.split() for r in references]).score
+    timed = [run for run in runs if run[0]]
+    al_words = _mean([average_lagging_words(trace, src_units, len(tokens))
+                      for tokens, trace, src_units, _ in timed])
+    if all(total_ms is None for _, _, _, total_ms in runs):
+        return bleu, al_words, None
+    return bleu, al_words, _mean([average_lagging_ms(trace, total_ms, len(tokens))
+                                  for tokens, trace, _, total_ms in timed])
 
 
 # ---------------------------------------------------------------------------
@@ -167,12 +174,7 @@ class T2TTestset:
 
 def sweep_t2t(systems: Sequence[T2TSystem], k_values: Sequence[float],
               testset: T2TTestset) -> list[TradeoffRecord]:
-    """Decode the test set at each lagging and score BLEU plus mean AL.
-
-    BLEU is computed on whitespace-split detokenized text.  Sentences
-    whose hypothesis is empty are skipped for AL (an empty hypothesis has
-    no writes) but still count for BLEU.
-    """
+    """Decode the test set at each lagging and score it with `score_runs`."""
     if len(testset.sources) != len(testset.references):
         raise ValueError("testset sources/references mismatch")
     if not testset.sources:
@@ -181,18 +183,10 @@ def sweep_t2t(systems: Sequence[T2TSystem], k_values: Sequence[float],
     for system in systems:
         for k in k_values:
             policy = OnlinePolicy(k_eval=k)
-            hyps = []
-            laggings = []
-            for src in testset.sources:
-                tokens, trace = online_greedy_decode(system.models, src, policy)
-                hyps.append(testset.detokenize(tokens).split())
-                if tokens:
-                    laggings.append(
-                        average_lagging_words(trace, len(src), len(tokens)))
-            bleu = corpus_bleu(hyps, [r.split() for r in testset.references])
-            al = math.fsum(laggings) / len(laggings) if laggings else 0.0
-            records.append(TradeoffRecord(system_id=system.system_id, k_eval=k,
-                                          bleu=bleu.score, al_words=al, al_ms=None))
+            runs = [(*online_greedy_decode(system.models, src, policy), len(src), None)
+                    for src in testset.sources]
+            records.append(TradeoffRecord(system.system_id, k, *score_runs(
+                runs, testset.references, testset.detokenize)))
     return records
 
 
@@ -214,34 +208,25 @@ def sweep_s2t(systems: Sequence[S2TSystem], sz_values: Sequence[float],
               testset: S2TTestset) -> list[TradeoffRecord]:
     """Latency sweep for the cascade: the swept variable is the READ
     chunk size in audio blocks; an infinite value reads all audio before
-    writing (offline).  AL in words is computed over audio blocks."""
+    writing (offline).  Scored with `score_runs`, AL in words over audio
+    blocks.  Every stream must hold at least one word."""
     if len(testset.streams) != len(testset.references):
         raise ValueError("testset streams/references mismatch")
     if not testset.streams:
         raise ValueError("empty testset")
+    if not all(testset.streams):
+        raise ValueError("testset has an empty stream")
     records = []
     for system in systems:
         for sz in sz_values:
-            hyps = []
-            al_w = []
-            al_ms = []
+            runs = []
             for stream in testset.streams:
                 blocks = AudioBlocks.of(stream, system.config.block_ms)
                 real_sz = blocks.n_blocks if sz == INFINITE_K else int(sz)
-                cfg = replace(system.config, sz=real_sz)
-                res = cascade_decode(stream, system.mt, cfg)
-                hyps.append(testset.detokenize(res.tokens).split())
-                if res.tokens and blocks.total_ms > 0:
-                    al_w.append(average_lagging_words(
-                        res.trace, blocks.n_blocks, len(res.tokens)))
-                    al_ms.append(average_lagging_ms(
-                        res.trace, blocks.total_ms, len(res.tokens)))
-            bleu = corpus_bleu(hyps, [r.split() for r in testset.references])
-            records.append(TradeoffRecord(
-                system_id=system.system_id, k_eval=sz, bleu=bleu.score,
-                al_words=math.fsum(al_w) / len(al_w) if al_w else 0.0,
-                al_ms=math.fsum(al_ms) / len(al_ms) if al_ms else 0.0,
-            ))
+                res = cascade_decode(stream, system.mt, replace(system.config, sz=real_sz))
+                runs.append((res.tokens, res.trace, blocks.n_blocks, blocks.total_ms))
+            records.append(TradeoffRecord(system.system_id, sz, *score_runs(
+                runs, testset.references, testset.detokenize)))
     return records
 
 

@@ -20,13 +20,15 @@ answering with the end marker.  Writing the end-of-sequence token
 finishes the session.  A session accepts at most 2·|source| + 50 content
 WRITEs (|source| in tokens, or words for speech); one more is an error.
 
+SCORE runs `metrics.score_runs`, as the offline sweeps do, over completed
+sessions.  A testset with an empty source or stream is refused.
+
 The reference client runs `online.read_write_decode` with its source on
 the wire: a READ frame per token, {"eos": true} as the end.
 """
 from __future__ import annotations
 
 import json
-import math
 from bisect import bisect_right
 from operator import attrgetter
 import socket
@@ -35,7 +37,7 @@ import threading
 from dataclasses import dataclass, field
 
 from .cascade import AudioBlocks, validate_stream
-from .metrics import average_lagging_ms, average_lagging_words, corpus_bleu
+from .metrics import score_runs
 from .online import ActionTrace, Chunk, ReadEvent, WriteEvent, read_write_decode
 from .vocab import EOS_TOKEN
 
@@ -45,7 +47,8 @@ class ServerTestset:
     """What the server serves and scores against.
 
     t2t: sources are token-string sequences.  s2t: sources are TimedWord
-    streams (without overlaps) revealed in fixed audio blocks.
+    streams (without overlaps) revealed in fixed audio blocks.  An empty
+    source or stream is refused.
     """
 
     mode: str                       # "t2t" | "s2t"
@@ -61,8 +64,10 @@ class ServerTestset:
             raise ValueError("sources/references length mismatch")
         if not self.sources:
             raise ValueError("empty testset")
-        if self.mode == "s2t":
-            for src in self.sources:
+        for i, src in enumerate(self.sources):
+            if not src:
+                raise ValueError(f"source {i} is empty")
+            if self.mode == "s2t":
                 validate_stream(src)
 
 
@@ -224,7 +229,7 @@ class EvalServer(socketserver.ThreadingTCPServer):
         return False
 
     def scores(self) -> dict:
-        """BLEU and mean lagging over completed sessions."""
+        """BLEU and mean lagging over completed sessions, by `score_runs`."""
         with self._lock:
             done = sorted(
                 (s for s in self.sessions.values() if s.done and not s.aborted),
@@ -232,33 +237,15 @@ class EvalServer(socketserver.ThreadingTCPServer):
             )
         if not done:
             return {"error": "no completed sessions"}
-        hyps = []
-        refs = []
-        al_w = []
-        al_ms = []
-        for s in done:
-            hyps.append(self.testset.detokenize(s.hyp_tokens).split())
-            refs.append(self.testset.references[s.session_id].split())
-            if not s.hyp_tokens:
-                continue
-            src = self.testset.sources[s.session_id]
-            if self.testset.mode == "t2t":
-                al_w.append(average_lagging_words(
-                    s.trace(), len(src), len(s.hyp_tokens)))
-            else:
-                al_w.append(average_lagging_words(
-                    s.trace(), s.blocks.n_blocks, len(s.hyp_tokens)))
-                if s.blocks.total_ms > 0:
-                    al_ms.append(average_lagging_ms(
-                        s.trace(), s.blocks.total_ms, len(s.hyp_tokens)))
-        bleu = corpus_bleu(hyps, refs)
-        out = {
-            "n_sessions": len(done),
-            "bleu": bleu.score,
-            "al_words": math.fsum(al_w) / len(al_w) if al_w else 0.0,
-        }
-        if self.testset.mode == "s2t":
-            out["al_ms"] = math.fsum(al_ms) / len(al_ms) if al_ms else 0.0
+        ts = self.testset
+        runs = [(s.hyp_tokens, s.trace(),
+                 s.blocks.n_blocks if s.blocks else len(ts.sources[s.session_id]),
+                 s.blocks.total_ms if s.blocks else None) for s in done]
+        bleu, al_words, al_ms = score_runs(
+            runs, [ts.references[s.session_id] for s in done], ts.detokenize)
+        out = {"n_sessions": len(done), "bleu": bleu, "al_words": al_words}
+        if al_ms is not None:
+            out["al_ms"] = al_ms
         return out
 
     # -- lifecycle ---------------------------------------------------------

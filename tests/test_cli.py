@@ -215,6 +215,18 @@ def test_exit_1_bad_values(workspace, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_exit_1_bad_corpus_and_testset_lines(workspace, tmp_path, capsys):
+    corpus = tmp_path / "c.jsonl"
+    corpus.write_text('{"src": 5, "tgt": "a b"}\n')
+    assert cli(["train", "--corpus", str(corpus), "--out-dir", str(tmp_path / "r")]) == 1
+    assert f"simumt: {corpus}:1: src and tgt must be strings" in capsys.readouterr().err
+    testset = tmp_path / "t.tsv"
+    testset.write_text("\tfoo\n")
+    assert cli(["serve", "--bind", "127.0.0.1:0", "--bpe",
+                str(workspace / "run" / "bpe.model"), "--testset", str(testset)]) == 1
+    assert "simumt: source 0 is empty" in capsys.readouterr().err
+
+
 def test_module_entry_point(tmp_path):
     out = tmp_path / "pairs.tsv"
     proc = subprocess.run(

@@ -45,6 +45,15 @@ def test_text_io_tsv_and_jsonl(tmp_path):
         C.load_parallel_text(badj)
 
 
+def test_jsonl_sides_must_be_strings(tmp_path):
+    for line in ('{"src": 5, "tgt": "a b"}', '{"src": "a", "tgt": null}',
+                 '{"src": ["a"], "tgt": "a"}'):
+        p = tmp_path / "c.jsonl"
+        p.write_text('{"src": "a", "tgt": "b"}\n' + line + "\n")
+        with pytest.raises(ValueError, match=r"c\.jsonl:2: src and tgt must be strings"):
+            C.load_parallel_text(p)
+
+
 def test_encode_pairs_appends_eos():
     enc = lambda s: [ord(c) % 20 + 4 for c in s.replace(" ", "")]
     pairs = C.encode_pairs([("ab", "cd")], enc, enc)

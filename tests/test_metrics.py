@@ -48,12 +48,6 @@ def test_bleu_zero_order_zeroes_unsmoothed_score():
     assert b.score == 0.0
 
 
-def test_bleu_add_one_smoothing():
-    b = X.corpus_bleu([["a", "b"]], [["a", "c"]], max_n=2, smoothing="add_one")
-    assert b.precisions == ((1 + 1) / (2 + 1), (0 + 1) / (1 + 1))
-    assert b.score == pytest.approx(math.sqrt((2 / 3) * (1 / 2)), rel=1e-15)
-
-
 def test_bleu_pools_counts_over_corpus():
     # second sentence contributes a unigram miss and no bigram positions
     b = X.corpus_bleu([["a", "b"], ["c"]], [["a", "b"], ["d"]], max_n=2)
@@ -72,8 +66,6 @@ def test_bleu_validation():
         X.corpus_bleu([], [])
     with pytest.raises(ValueError):
         X.corpus_bleu([["a"]], [["a"], ["b"]])
-    with pytest.raises(ValueError):
-        X.corpus_bleu([["a"]], [["a"]], smoothing="exp")
     with pytest.raises(ValueError):
         X.corpus_bleu([["a"]], [["a"]], max_n=0)
 
@@ -243,3 +235,51 @@ def test_sweep_dispatch():
     assert recs and recs[0].al_ms is None
     with pytest.raises(TypeError):
         X.sweep([], [1], object())
+
+
+# ---------------------------------------------------------------------------
+# score_runs
+
+def eos_only_trace(n_reads, g_ms=None):
+    events = [ReadEvent(i) for i in range(n_reads)]
+    return ActionTrace(events=tuple(events) + (WriteEvent(EOS, n_reads, g_ms=g_ms),))
+
+
+def test_score_runs_text_hand_values():
+    # run 0 writes 4 5 6 7 at g = 1..4 of 4 tokens: AL 1.0; run 1 writes
+    # nothing, so it counts for BLEU (its reference stretches the brevity
+    # penalty to exp(1 - 5/4)) but not for AL
+    full = trace_with_g([1, 2, 3, 4], n_reads=4)
+    runs = [([4, 5, 6, 7], full, 4, None), ([], eos_only_trace(2), 2, None)]
+    bleu, al_words, al_ms = X.score_runs(runs, ["4 5 6 7", "8"], detok_ids)
+    assert bleu == pytest.approx(math.exp(1 - 5 / 4), rel=1e-15)
+    assert al_words == 1.0
+    assert al_ms is None
+
+
+def test_score_runs_speech_hand_values():
+    # 2 blocks over 150 ms; writes after 1 and 2 blocks (100 and 150 ms):
+    # AL words ((1-0) + (2-1)) / 2 = 1.0, AL ms ((100-0) + (150-75)) / 2 = 87.5;
+    # the run without tokens enters neither mean
+    trace = ActionTrace(events=(
+        ReadEvent(0, timestamp_ms=100.0), WriteEvent(4, 1, g_ms=100.0),
+        ReadEvent(1, timestamp_ms=150.0), WriteEvent(5, 2, g_ms=150.0),
+        WriteEvent(EOS, 2, g_ms=150.0)))
+    runs = [([4, 5], trace, 2, 150.0), ([], eos_only_trace(3, 300.0), 3, 300.0)]
+    bleu, al_words, al_ms = X.score_runs(runs, ["4 5", "6"], detok_ids)
+    assert (al_words, al_ms) == (1.0, 87.5)
+    assert bleu == 0.0                          # 2 tokens have no 3-grams
+
+
+def test_score_runs_without_tokens_means_are_zero():
+    text = [([], eos_only_trace(2), 2, None)]
+    assert X.score_runs(text, ["4"], detok_ids) == (0.0, 0.0, None)
+    speech = [([], eos_only_trace(1, 50.0), 1, 50.0), ([], eos_only_trace(2, 200.0), 2, 200.0)]
+    assert X.score_runs(speech, ["4", "5"], detok_ids) == (0.0, 0.0, 0.0)
+
+
+def test_sweep_s2t_rejects_an_empty_stream():
+    testset = X.S2TTestset(streams=[[TimedWord("a", 0, 300)], []],
+                           references=["4", "5"], detokenize=detok_ids)
+    with pytest.raises(ValueError, match="empty stream"):
+        X.sweep_s2t([X.S2TSystem("cas", None, CascadeConfig())], [1], testset)

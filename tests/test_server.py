@@ -3,16 +3,21 @@ import math
 import socket
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from simumt import metrics as X
 from simumt import model as M
 from simumt import server as S
-from simumt.cascade import TimedWord
-from simumt.online import OnlinePolicy, online_greedy_decode
+from simumt.cascade import (AudioBlocks, CascadeConfig, CascadeMT, EndpointRule,
+                            TimedWord, cascade_decode)
+from simumt.corpus import toy_vocabulary
+from simumt.online import OnlinePolicy, ReadEvent, online_greedy_decode
+from simumt.training import INFINITE_K
 from simumt.vocab import EOS, EOS_TOKEN, Vocabulary
 
 
@@ -83,6 +88,15 @@ def test_testset_validation():
                         detokenize=detok)
     with pytest.raises(ValueError):
         S.ServerTestset(mode="t2t", sources=[], references=[], detokenize=detok)
+
+
+def test_testset_rejects_an_empty_source_or_stream():
+    # an empty t2t source once made every SCORE after its session fail
+    with pytest.raises(ValueError, match="source 1 is empty"):
+        S.ServerTestset(mode="t2t", sources=[["a"], []], references=["x", "y"],
+                        detokenize=detok)
+    with pytest.raises(ValueError, match="source 0 is empty"):
+        S.ServerTestset(mode="s2t", sources=[[]], references=["x"], detokenize=detok)
 
 
 def test_s2t_testset_rejects_overlapping_stream():
@@ -326,6 +340,55 @@ def test_s2t_block_words_at_boundaries():
     assert [f["block_ms"] for f in frames] == [100, 200, 300, 400, 450]
     assert [[w["word"] for w in f["words"]] for f in frames] == \
         [["a"], ["b", "c"], [], [], ["d"]]
+
+
+def test_s2t_served_scores_equal_the_offline_sweep():
+    # replay each cascade trace on the wire: a READ per ReadEvent, a WRITE
+    # per WriteEvent, and EOS after a truncated run.  With seed 25 the last
+    # stream ends on EOS without content at sz 1 and 3, so the empty
+    # hypothesis counts for BLEU and not for AL, and BLEU differs across sz
+    vocab = toy_vocabulary("copy")
+    mt = CascadeMT(models=[small_params(seed=25, vocab=len(vocab))],
+                   encode_source=lambda text: vocab.encode_tokens(text.split()))
+    cfg = CascadeConfig(sz=1, alpha=1.0, beta=3.0,
+                        endpoint_rules=(EndpointRule("c", 0.5),), block_ms=100.0)
+    streams = [[TimedWord("a", 0, 300), TimedWord("b", 420, 250)],
+               [TimedWord("c", 50, 200), TimedWord("d", 900, 300), TimedWord("e", 1250, 200)],
+               [TimedWord("f", 0, 180)],
+               [TimedWord("g", 0, 200), TimedWord("h", 300, 200), TimedWord("i", 2000, 250),
+                TimedWord("j", 2300, 150)]]
+    detok_ids = lambda ids: " ".join(vocab.decode_ids(ids))   # noqa: E731
+
+    def decode(stream, sz):
+        n_blocks = AudioBlocks.of(stream, cfg.block_ms).n_blocks
+        return cascade_decode(stream, mt, replace(cfg, sz=n_blocks if sz == INFINITE_K else sz))
+
+    # references: the offline hypotheses, so BLEU is not zero throughout
+    refs = [detok_ids(decode(stream, INFINITE_K).tokens) or "a" for stream in streams]
+    sz_values = [1, 3, INFINITE_K]
+    records = X.sweep_s2t([X.S2TSystem("cas", mt, cfg)], sz_values,
+                          X.S2TTestset(streams=streams, references=refs, detokenize=detok_ids))
+    testset = S.ServerTestset(mode="s2t", sources=streams, references=refs,
+                              detokenize=detok, block_ms=100.0)
+    for sz, rec in zip(sz_values, records):
+        with running(testset) as (_, host, port):
+            for sid, stream in enumerate(streams):
+                res = decode(stream, sz)
+                c = RawClient(host, port)
+                assert c.call({"act": "START", "id": sid})["ok"]
+                for ev in res.trace.events:
+                    if isinstance(ev, ReadEvent):
+                        assert "block_ms" in c.call({"act": "READ"})
+                    else:
+                        assert c.call({"act": "WRITE", "token": vocab.token(ev.token)})["ok"]
+                if res.trace.truncated:
+                    assert c.call({"act": "WRITE", "token": EOS_TOKEN})["done"]
+                c.close()
+            score = S.client_score(host, port)
+        assert score["n_sessions"] == len(streams)
+        for key in ("bleu", "al_words", "al_ms"):
+            assert abs(score[key] - getattr(rec, key)) <= 1e-12, (sz, key)
+    assert records[-1].bleu > 0
 
 
 # ---------------------------------------------------------------------------
