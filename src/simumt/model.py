@@ -31,13 +31,18 @@ independent of later source content).  Both return new state objects and
 never change what their inputs hold.  The caches are head-major
 (H, capacity, d_head) buffers that a chain of states shares and that grow
 in place when the newest state is extended (see `EncoderState`), so an
-extension no longer copies the history it attends over.
+extension no longer copies the history it attends over.  A call that
+handles one row (every ``decode_step``, and ``encode_prefix`` with one new
+token) carries it as a (d,) vector, so its products are vector-matrix and
+``layer_norm`` takes scalar statistics; outputs are bitwise those of the
+(1, d) form.
 """
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import asdict, dataclass, fields
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -230,11 +235,17 @@ def sinusoid_rows(start: int, n: int, d: int) -> np.ndarray:
 def layer_norm(x: np.ndarray, g: np.ndarray, b: np.ndarray):
     """Normalize over the last axis.  The mean is computed once and the
     centred rows reused, with the same reductions ``x.mean``/``x.var``
-    perform, so results are bitwise those of the two-call form."""
+    perform, so results are bitwise those of the two-call form.  A 1-D
+    row (the streaming step) takes scalar statistics, with ``math.sqrt``
+    on its variance; its output is bitwise that of the (1, d) call."""
     n = x.shape[-1]
-    xc = x - np.add.reduce(x, axis=-1, keepdims=True) / n
-    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / n
-    inv = 1.0 / np.sqrt(var + _LN_EPS)
+    if x.ndim == 1:
+        xc = x - np.add.reduce(x) / n
+        inv = 1.0 / math.sqrt(np.add.reduce(xc * xc) / n + _LN_EPS)
+    else:
+        xc = x - np.add.reduce(x, axis=-1, keepdims=True) / n
+        var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / n
+        inv = 1.0 / np.sqrt(var + _LN_EPS)
     xhat = xc * inv
     return xhat * g + b, (xhat, inv, g)
 
@@ -393,11 +404,16 @@ def _position_rows(start: int, n: int, d: int) -> np.ndarray:
     return table[start : start + n]
 
 
-def _embed(params: Parameters, name: str, ids: np.ndarray, start_pos: int) -> np.ndarray:
-    """Scaled embeddings plus positions; ids (n,) or (B, n), position
-    start_pos at column 0."""
+def _embed(params: Parameters, name: str, ids, start_pos: int) -> np.ndarray:
+    """Scaled embeddings plus positions, position start_pos at column 0:
+    ids (n,) or (B, n) give (n, d) or (B, n, d) rows, one int id a (d,)
+    row."""
     d = params.config.d_model
-    return params.tensors[name][ids] * math.sqrt(d) + _position_rows(start_pos, ids.shape[-1], d)
+    if np.ndim(ids) == 0:
+        pos = _position_rows(start_pos, 1, d)[0]
+    else:
+        pos = _position_rows(start_pos, ids.shape[-1], d)
+    return params.tensors[name][ids] * math.sqrt(d) + pos
 
 
 def _embed_backward(params: Parameters, name: str, ids: np.ndarray,
@@ -690,6 +706,28 @@ def _empty_encoder_state(params: Parameters) -> EncoderState:
                                     (cfg.n_dec_layers, 2) + heads), 0)
 
 
+# the tensors a streaming layer reads, in the order encode_prefix and
+# decode_step unpack them; cross_attn wk/wv/bk/bv are applied to the memory
+# once, when encode_prefix adds its rows (_CROSS_KV)
+_ENC_LAYER = ("ln1.g", "ln1.b", "attn.wq", "attn.bq", "attn.wk", "attn.bk", "attn.wv",
+              "attn.bv", "attn.wo", "attn.bo", "ln2.g", "ln2.b",
+              "ffn.w1", "ffn.b1", "ffn.w2", "ffn.b2")
+_DEC_LAYER = ("ln1.g", "ln1.b", "self_attn.wq", "self_attn.bq", "self_attn.wk",
+              "self_attn.bk", "self_attn.wv", "self_attn.bv", "self_attn.wo",
+              "self_attn.bo", "ln2.g", "ln2.b", "cross_attn.wq", "cross_attn.bq",
+              "cross_attn.wo", "cross_attn.bo", "ln3.g", "ln3.b",
+              "ffn.w1", "ffn.b1", "ffn.w2", "ffn.b2")
+_CROSS_KV = ("cross_attn.wk", "cross_attn.bk", "cross_attn.wv", "cross_attn.bv")
+
+
+@lru_cache(maxsize=None)
+def _layer_keys(stack: str, n_layers: int, parts: tuple[str, ...]) -> tuple[tuple[str, ...], ...]:
+    """Tensor names of ``parts`` for each layer of a stack.  Only names are
+    cached, never arrays: training edits tensors in place, and callers
+    swap whole `Parameters`."""
+    return tuple(tuple(f"{stack}.{l}.{p}" for p in parts) for l in range(n_layers))
+
+
 def encode_prefix(params: Parameters, new_tokens: Sequence[int],
                   state: EncoderState | None = None) -> EncoderState:
     """Extend (or start) an encoder state with a block of source tokens.
@@ -697,11 +735,11 @@ def encode_prefix(params: Parameters, new_tokens: Sequence[int],
     Returns a new state; ``state`` is unchanged.  Only the new rows are
     computed: they attend over the cached keys/values of earlier rows.
     Encoding a sequence in any block split yields the same rows as
-    encoding it in one call.
+    encoding it in one call.  One new token travels as a (d,) row, so
+    every product is a vector-matrix one.
     """
     cfg = params.config
     t = params.tensors
-    nh = cfg.n_heads
     new_ids = np.asarray(new_tokens, dtype=np.int64)
     if new_ids.ndim != 1 or len(new_ids) == 0:
         raise ValueError("need at least one new token")
@@ -710,27 +748,26 @@ def encode_prefix(params: Parameters, new_tokens: Sequence[int],
     z0 = state.n_tokens
     z = z0 + len(new_ids)
 
-    h = _embed(params, params.src_embed_name, new_ids, z0)
     rows = _writable_rows(state.rows, z0, len(new_ids))
     enc_kv, memory, cross_kv = rows.arrays
     # one new row may see every key: its causal mask is all zeros
-    mask = causal_mask(len(new_ids), z, offset=z0) if len(new_ids) > 1 else None
-    for l in range(cfg.n_enc_layers):
-        pre = f"enc.{l}.attn"
-        a_in, _ = layer_norm(h, t[f"enc.{l}.ln1.g"], t[f"enc.{l}.ln1.b"])
+    if len(new_ids) == 1:
+        h, mask = _embed(params, params.src_embed_name, new_ids[0], z0), None
+    else:
+        h = _embed(params, params.src_embed_name, new_ids, z0)
+        mask = causal_mask(len(new_ids), z, offset=z0)
+    for l, keys in enumerate(_layer_keys("enc", cfg.n_enc_layers, _ENC_LAYER)):
+        g1, b1, wq, bq, wk, bk, wv, bv, wo, bo, g2, b2, w1, fb1, w2, fb2 = [t[k] for k in keys]
+        a_in, _ = layer_norm(h, g1, b1)
         kv = enc_kv[l, :, :, :z]
-        kv[0, :, z0:] = _split_heads(_project(params, pre, "k", a_in), nh)
-        kv[1, :, z0:] = _split_heads(_project(params, pre, "v", a_in), nh)
-        h = h + _attend_precomputed(params, pre, a_in, kv[0], kv[1], mask)
-        f_in, _ = layer_norm(h, t[f"enc.{l}.ln2.g"], t[f"enc.{l}.ln2.b"])
-        f_out, _ = ffn(params, f"enc.{l}.ffn", f_in)
-        h = h + f_out
+        _write_kv(kv[:, :, z0:], a_in, wk, bk, wv, bv)
+        h = h + _attend_precomputed(a_in, wq, bq, wo, bo, kv[0], kv[1], mask)
+        f_in, _ = layer_norm(h, g2, b2)
+        h = h + _ffn_out(f_in, w1, fb1, w2, fb2)
     mem_rows, _ = layer_norm(h, t["enc.final_ln.g"], t["enc.final_ln.b"])
     memory[z0:z] = mem_rows
-    for l in range(cfg.n_dec_layers):
-        pre = f"dec.{l}.cross_attn"
-        cross_kv[l, 0, :, z0:z] = _split_heads(_project(params, pre, "k", mem_rows), nh)
-        cross_kv[l, 1, :, z0:z] = _split_heads(_project(params, pre, "v", mem_rows), nh)
+    for l, keys in enumerate(_layer_keys("dec", cfg.n_dec_layers, _CROSS_KV)):
+        _write_kv(cross_kv[l, :, :, z0:z], mem_rows, *[t[k] for k in keys])
     rows.filled = z
     return EncoderState(rows, z)
 
@@ -764,57 +801,66 @@ def decode_step(params: Parameters, enc_state: EncoderState,
     ``visible`` counts encoder rows (marker included when exposed) and
     must be in [1, enc_state.n_tokens].  The cached cross-attention keys
     and values are sliced to that prefix before any computation, so the
-    result is bitwise identical no matter what lies beyond.  Returns
-    (logprobs (V,), new DecoderState); inputs are not mutated.
+    result is bitwise identical no matter what lies beyond.  The hidden
+    row travels as a (d,) vector from the embedding to the logits.
+    Returns (logprobs (V,), new DecoderState); inputs are not mutated.
     """
     cfg = params.config
     t = params.tensors
-    nh = cfg.n_heads
     if dec_state is None:
         dec_state = empty_decoder_state(params)
     if not 1 <= visible <= enc_state.n_tokens:
         raise ValueError(f"visible={visible} outside [1, {enc_state.n_tokens}]")
     step = dec_state.step
 
-    ids = np.asarray([prev_token], dtype=np.int64)
-    h = _embed(params, params.tgt_embed_name, ids, step)
+    h = _embed(params, params.tgt_embed_name, prev_token, step)
     rows = _writable_rows(dec_state.rows, step, 1)
     self_kv = rows.arrays[0][:, :, :, : step + 1]
     cross_kv = enc_state.rows.arrays[2][:, :, :, :visible]
-    for l in range(cfg.n_dec_layers):
-        a_in, _ = layer_norm(h, t[f"dec.{l}.ln1.g"], t[f"dec.{l}.ln1.b"])
-        pre = f"dec.{l}.self_attn"
-        self_kv[l, 0, :, step:] = _split_heads(_project(params, pre, "k", a_in), nh)
-        self_kv[l, 1, :, step:] = _split_heads(_project(params, pre, "v", a_in), nh)
-        h = h + _attend_precomputed(params, pre, a_in, self_kv[l, 0], self_kv[l, 1])
-        c_in, _ = layer_norm(h, t[f"dec.{l}.ln2.g"], t[f"dec.{l}.ln2.b"])
-        h = h + _attend_precomputed(params, f"dec.{l}.cross_attn", c_in,
-                                    cross_kv[l, 0], cross_kv[l, 1])
-        f_in, _ = layer_norm(h, t[f"dec.{l}.ln3.g"], t[f"dec.{l}.ln3.b"])
-        f_out, _ = ffn(params, f"dec.{l}.ffn", f_in)
-        h = h + f_out
+    for l, keys in enumerate(_layer_keys("dec", cfg.n_dec_layers, _DEC_LAYER)):
+        (g1, b1, wq, bq, wk, bk, wv, bv, wo, bo, g2, b2,
+         cwq, cbq, cwo, cbo, g3, b3, w1, fb1, w2, fb2) = [t[k] for k in keys]
+        a_in, _ = layer_norm(h, g1, b1)
+        kv = self_kv[l]
+        _write_kv(kv[:, :, step:], a_in, wk, bk, wv, bv)
+        h = h + _attend_precomputed(a_in, wq, bq, wo, bo, kv[0], kv[1])
+        c_in, _ = layer_norm(h, g2, b2)
+        h = h + _attend_precomputed(c_in, cwq, cbq, cwo, cbo, cross_kv[l, 0], cross_kv[l, 1])
+        f_in, _ = layer_norm(h, g3, b3)
+        h = h + _ffn_out(f_in, w1, fb1, w2, fb2)
     hf, _ = layer_norm(h, t["dec.final_ln.g"], t["dec.final_ln.b"])
-    logits = hf @ t[params.out_proj_name].T
-    logp = log_softmax(logits)[0]
+    logp = log_softmax(hf @ t[params.out_proj_name].T)
     rows.filled = step + 1
     return logp, DecoderState(rows, step + 1)
 
 
-def _attend_precomputed(params: Parameters, prefix: str, q_in: np.ndarray,
-                        kh: np.ndarray, vh: np.ndarray,
+def _write_kv(kv: np.ndarray, x: np.ndarray, wk, bk, wv, bv) -> None:
+    """Project rows x, (d,) for one row or (m, d), to keys and values and
+    write them head-major into ``kv``, a (2, H, m, d_head) cache slice."""
+    n_heads, dh = kv.shape[1], kv.shape[3]
+    kv[0] = (x @ wk + bk).reshape(-1, n_heads, dh).swapaxes(0, 1)
+    kv[1] = (x @ wv + bv).reshape(-1, n_heads, dh).swapaxes(0, 1)
+
+
+def _attend_precomputed(q_in: np.ndarray, wq, bq, wo, bo, kh: np.ndarray, vh: np.ndarray,
                         mask: np.ndarray | None = None) -> np.ndarray:
-    """Attention of q_in rows over keys/values that are already projected
-    and split into heads, (H, n, d_head) (the streaming caches); without
-    a mask every query sees every key."""
-    t = params.tensors
-    scale = 1.0 / math.sqrt(params.config.head_dim)
-    qh = _split_heads(_project(params, prefix, "q", q_in), params.config.n_heads)
+    """Attention of q_in rows, (d,) for one row or (m, d), over keys and
+    values already projected and split into heads, (H, n, d_head) (the
+    streaming caches); the output has q_in's shape.  Without a mask every
+    query sees every key."""
+    n_heads, _, dh = kh.shape
+    qh = (q_in @ wq + bq).reshape(-1, n_heads, dh).swapaxes(0, 1)
     scores = qh @ kh.swapaxes(1, 2)
-    scores *= scale
+    scores *= 1.0 / math.sqrt(dh)
     if mask is not None:
         scores += mask
     p = _masked_softmax(scores)
-    return _merge_heads(p @ vh) @ t[f"{prefix}.wo"] + t[f"{prefix}.bo"]
+    return (p @ vh).swapaxes(0, 1).reshape(q_in.shape) @ wo + bo
+
+
+def _ffn_out(x: np.ndarray, w1, b1, w2, b2) -> np.ndarray:
+    """`ffn`'s output alone, for the streaming step (no backward cache)."""
+    return np.maximum(x @ w1 + b1, 0.0) @ w2 + b2
 
 
 # ---------------------------------------------------------------------------

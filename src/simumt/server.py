@@ -13,11 +13,12 @@ Frames (one JSON object per line):
     {"act": "WRITE", "token": "w"}     -> {"ok": true} (+ "done" on EOS)
     {"act": "SCORE"}                   -> {"bleu": ..., "al_words": ..., ...}
 
-A malformed frame gets {"error": ...} and the connection closes; the
-session is dropped from scoring.  A START id must be a JSON integer
-naming a sentence that has no session yet.  Reads past the end keep
-answering with the end marker.  Writing the end-of-sequence token
-finishes the session.  A session accepts at most 2·|source| + 50 content
+A malformed frame (invalid UTF-8 or JSON, or a line longer than
+MAX_FRAME_BYTES bytes with its newline) gets {"error": ...} and the
+connection closes; the session is dropped from scoring.  A START id must
+be a JSON integer naming a sentence that has no session yet.  Reads past
+the end keep answering with the end marker.  Writing the end-of-sequence
+token finishes the session.  A session accepts at most 2·|source| + 50 content
 WRITEs (|source| in tokens, or words for speech); one more is an error.
 
 SCORE runs `metrics.score_runs`, as the offline sweeps do, over completed
@@ -40,6 +41,8 @@ from .cascade import AudioBlocks, validate_stream
 from .metrics import score_runs
 from .online import ActionTrace, Chunk, ReadEvent, WriteEvent, read_write_decode
 from .vocab import EOS_TOKEN
+
+MAX_FRAME_BYTES = 64 * 1024     # one client frame line, newline included
 
 
 @dataclass(frozen=True)
@@ -94,16 +97,21 @@ class _Handler(socketserver.StreamRequestHandler):
         server: EvalServer = self.server  # type: ignore[assignment]
         session: EvalSession | None = None
         try:
-            for raw in self.rfile:
-                line = raw.decode("utf-8").strip()
-                if not line:
-                    continue
+            while raw := self.rfile.readline(MAX_FRAME_BYTES + 1):
+                if len(raw) > MAX_FRAME_BYTES:
+                    if session is not None:
+                        session.aborted = True
+                    self._send({"error": f"frame longer than {MAX_FRAME_BYTES} bytes"})
+                    return
                 try:
+                    line = raw.decode("utf-8").strip()
+                    if not line:
+                        continue
                     frame = json.loads(line)
                     if not isinstance(frame, dict):
                         raise ValueError("frame must be a JSON object")
                     act = frame["act"]
-                except (json.JSONDecodeError, KeyError, ValueError) as e:
+                except (KeyError, ValueError) as e:     # incl. JSON and UTF-8 errors
                     if session is not None:
                         session.aborted = True
                     self._send({"error": f"malformed frame: {e}"})

@@ -93,6 +93,18 @@ def test_layer_norm_is_bitwise_the_two_call_form():
             y, (xh, iv, _) = M.layer_norm(xs, g, b)
             assert np.array_equal(y, xhat * g + b)
             assert np.array_equal(xh, xhat) and np.array_equal(iv, inv)
+    # a (64,) row, as the streaming step passes it, takes scalar statistics:
+    # bitwise the (1, 64) call and the two-call form
+    for _ in range(50):
+        x = rng.normal(size=64) * rng.uniform(0.1, 100.0) + rng.uniform(-50, 50)
+        g, b = rng.normal(size=64), rng.normal(size=64)
+        inv = 1.0 / np.sqrt(x.var() + 1e-5)
+        xhat = (x - x.mean()) * inv
+        y, (xh, iv, _) = M.layer_norm(x, g, b)
+        y2, (xh2, iv2, _) = M.layer_norm(x[None], g, b)
+        assert y.shape == xh.shape == (64,)
+        assert np.array_equal(y, y2[0]) and np.array_equal(xh, xh2[0]) and iv == iv2[0, 0]
+        assert np.array_equal(y, xhat * g + b) and np.array_equal(xh, xhat) and iv == inv
 
 
 def test_visible_source_len():
@@ -271,6 +283,32 @@ def test_extending_a_state_twice_leaves_the_parent_unchanged():
     assert parent.n_tokens == len(head)
     for name, arrays in _state_arrays(parent).items():
         assert all(np.array_equal(a, b) for a, b in zip(arrays, before[name], strict=True))
+
+
+@pytest.mark.parametrize("name", ["dec.1.cross_attn.wk", "dec.0.cross_attn.bv"])
+def test_streaming_reads_tensors_afresh_after_in_place_edits(name):
+    # the streaming functions may cache tensor names, never arrays: an
+    # in-place edit, the way adam_update makes one, shows in the next call,
+    # and each Parameters is read for its own tensors
+    params = small_params(seed=3)
+    rng = np.random.default_rng(8)
+    x = rand_sentence(rng, 6)
+
+    def run(p):
+        enc = M.encode_prefix(p, x[:5])
+        enc = M.encode_prefix(p, x[5:], enc)            # one token: a (d,) row
+        lp1, dec = M.decode_step(p, enc, None, BOS, 4)
+        lp2, _ = M.decode_step(p, enc, dec, x[0], 6)
+        return [a[..., :6, :].copy() for a in enc.rows.arrays] + [lp1, lp2]
+
+    before, kept = run(params), params.copy()
+    params.tensors[name] -= 0.05 * rng.normal(size=params.tensors[name].shape)
+    after = run(params)
+    for got, want in ((after, run(params.copy())), (run(kept), before)):
+        assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+    assert not np.array_equal(after[2], before[2])      # cross-attention K/V
+    assert not np.array_equal(after[-2], before[-2])
+    assert not np.array_equal(after[-1], before[-1])
 
 
 def oracle_step(params, mem, history, prev, visible):

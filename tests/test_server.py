@@ -229,6 +229,38 @@ def test_malformed_frames_abort_session():
         assert srv.sessions[1].aborted
 
 
+def test_invalid_utf8_gets_an_error_frame_and_aborts():
+    # bytes ff fe once killed the handler thread with no reply
+    with running(t2t_testset()) as (srv, host, port):
+        c = RawClient(host, port)
+        assert c.call({"act": "START", "id": 0})["ok"]
+        c.file.write(b"\xff\xfe\n")
+        c.file.flush()
+        assert c.recv()["error"].startswith("malformed frame:")
+        c.close()
+        assert srv.sessions[0].aborted
+        c = RawClient(host, port)
+        assert "error" in c.call({"act": "SCORE"})      # the server still answers
+        c.close()
+
+
+def test_frames_longer_than_the_limit_are_refused():
+    def read_frame(n):
+        """A READ frame line of n bytes, newline included."""
+        head = '{"act": "READ", "pad": "'
+        return head + "x" * (n - len(head) - 3) + '"}'
+
+    with running(t2t_testset()) as (srv, host, port):
+        c = RawClient(host, port)
+        assert c.call({"act": "START", "id": 0})["ok"]
+        c.send_line(read_frame(S.MAX_FRAME_BYTES))
+        assert c.recv() == {"token": "a"}
+        c.send_line(read_frame(S.MAX_FRAME_BYTES + 1))
+        assert c.recv() == {"error": f"frame longer than {S.MAX_FRAME_BYTES} bytes"}
+        c.close()
+        assert srv.sessions[0].aborted
+
+
 def test_writes_past_the_cap_abort_the_session():
     # the cap is 2 * |source| + 50 content tokens; 20,000 WRITEs to a
     # 3-token source were once all accepted
