@@ -19,6 +19,7 @@ with different (t, c) pairs.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Callable, Sequence
@@ -165,12 +166,13 @@ class CascadeConfig:
     block_ms: float = 100.0
 
     def __post_init__(self) -> None:
-        if self.sz < 1:
-            raise ValueError("sz must be >= 1")
-        if self.alpha < 0 or self.beta < 1:
-            raise ValueError("need alpha >= 0 and beta >= 1")
-        if self.block_ms <= 0:
-            raise ValueError("block_ms must be positive")
+        if not (isinstance(self.sz, numbers.Integral) and self.sz >= 1):
+            raise ValueError("sz must be an integer >= 1")
+        # written so that NaN fails too
+        if not (0 <= self.alpha < math.inf and 1 <= self.beta < math.inf):
+            raise ValueError("need finite alpha >= 0 and beta >= 1")
+        if not 0 < self.block_ms < math.inf:
+            raise ValueError("block_ms must be positive and finite")
         object.__setattr__(self, "endpoint_rules", tuple(self.endpoint_rules))
 
     def write_budget(self, observed: int) -> float:

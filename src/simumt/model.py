@@ -35,13 +35,17 @@ extension no longer copies the history it attends over.  A call that
 handles one row (every ``decode_step``, and ``encode_prefix`` with one new
 token) carries it as a (d,) vector, so its products are vector-matrix and
 ``layer_norm`` takes scalar statistics; outputs are bitwise those of the
-(1, d) form.
+(1, d) form.  Each self-attention projects q, k and v with one product by
+its (d, 3d) block, and new memory rows go into every decoder layer's
+cross-attention keys and values with one product (`storage_groups`).  On
+OpenBLAS the column blocks of such a product equal the separate products
+bit for bit, so the fusion leaves every output unchanged.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from functools import lru_cache
 from typing import Sequence
 
@@ -120,13 +124,36 @@ class Parameters:
     "embed" tensor used by both embeddings, and with tied decoder
     embeddings the output projection reuses the target embedding, so no
     separate tensor exists that could drift apart under optimization.
+
+    Construction copies ``tensors`` (in their order, as float64) and
+    stores the tensors that the streaming step multiplies together side by
+    side in ``blocks`` (see `storage_groups`); ``tensors`` keeps each of
+    their checkpoint names as a view into its block.  An in-place edit of
+    a tensor (``adam_update``'s) therefore shows in its block; rebinding a
+    grouped name to a new array would not.  A group whose names are not
+    all present is left as it is.
     """
 
     config: ModelConfig
     tensors: dict[str, np.ndarray]
+    blocks: dict[str, np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        own = {name: np.array(a, dtype=np.float64) for name, a in self.tensors.items()}
+        self.blocks = {}
+        for block, names in storage_groups(self.config).items():
+            if not all(n in own for n in names):
+                continue
+            b = self.blocks[block] = np.concatenate([own[n] for n in names], axis=-1)
+            at = 0
+            for n in names:
+                width = own[n].shape[-1]
+                own[n] = b[..., at : at + width]
+                at += width
+        self.tensors = own
 
     def copy(self) -> "Parameters":
-        return Parameters(self.config, {k: v.copy() for k, v in self.tensors.items()})
+        return Parameters(self.config, self.tensors)
 
     def n_params(self) -> int:
         return sum(int(t.size) for t in self.tensors.values())
@@ -196,6 +223,25 @@ def parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
+def storage_groups(config: ModelConfig) -> dict[str, tuple[str, ...]]:
+    """Block name -> the tensors it holds side by side along the last
+    axis: each self-attention's q|k|v weights, (d, 3d), and biases, (3d,);
+    and the cross-attention k|v of every decoder layer, layer by layer,
+    (d, n_dec * 2d) and (n_dec * 2d,).  The streaming step projects each
+    group with one product."""
+    groups = {}
+    for stack, n_layers, attn in (("enc", config.n_enc_layers, "attn"),
+                                  ("dec", config.n_dec_layers, "self_attn")):
+        for l in range(n_layers):
+            p = f"{stack}.{l}.{attn}"
+            groups[p + ".wqkv"] = (p + ".wq", p + ".wk", p + ".wv")
+            groups[p + ".bqkv"] = (p + ".bq", p + ".bk", p + ".bv")
+    cross = [f"dec.{l}.cross_attn" for l in range(config.n_dec_layers)]
+    groups["dec.cross_attn.wkv"] = tuple(p + w for p in cross for w in (".wk", ".wv"))
+    groups["dec.cross_attn.bkv"] = tuple(p + b for p in cross for b in (".bk", ".bv"))
+    return groups
+
+
 def init_parameters(config: ModelConfig, seed: int) -> Parameters:
     """Fresh weights; identical (config, seed) gives identical tensors.
 
@@ -212,7 +258,7 @@ def init_parameters(config: ModelConfig, seed: int) -> Parameters:
             t[name] = np.ones(shape)
         else:
             t[name] = np.zeros(shape)
-    return Parameters(config=config, tensors=t)
+    return Parameters(config, t)
 
 
 def zero_grads(params: Parameters) -> dict[str, np.ndarray]:
@@ -287,10 +333,12 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
 
 def _masked_softmax(scores: np.ndarray) -> np.ndarray:
     """Softmax over the last axis, computed in place in ``scores`` (a
-    fresh array of the caller's); -inf entries come out exactly 0."""
-    scores -= scores.max(axis=-1, keepdims=True)
+    fresh array of the caller's); -inf entries come out exactly 0.  The
+    ufunc reductions are what ``.max``/``.sum`` call, without their Python
+    wrappers."""
+    scores -= np.maximum.reduce(scores, axis=-1, keepdims=True)
     np.exp(scores, out=scores)
-    scores /= scores.sum(axis=-1, keepdims=True)
+    scores /= np.add.reduce(scores, axis=-1, keepdims=True)
     return scores
 
 
@@ -422,8 +470,8 @@ def _embed_backward(params: Parameters, name: str, ids: np.ndarray,
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
-    mx = logits.max(axis=-1, keepdims=True)
-    z = np.log(np.exp(logits - mx).sum(axis=-1, keepdims=True)) + mx
+    mx = np.maximum.reduce(logits, axis=-1, keepdims=True)
+    z = np.log(np.add.reduce(np.exp(logits - mx), axis=-1, keepdims=True)) + mx
     return logits - z
 
 
@@ -707,17 +755,17 @@ def _empty_encoder_state(params: Parameters) -> EncoderState:
 
 
 # the tensors a streaming layer reads, in the order encode_prefix and
-# decode_step unpack them; cross_attn wk/wv/bk/bv are applied to the memory
-# once, when encode_prefix adds its rows (_CROSS_KV)
-_ENC_LAYER = ("ln1.g", "ln1.b", "attn.wq", "attn.bq", "attn.wk", "attn.bk", "attn.wv",
-              "attn.bv", "attn.wo", "attn.bo", "ln2.g", "ln2.b",
+# decode_step unpack them, and the blocks (`storage_groups`) its
+# self-attention projects with; the cross-attention keys/values of every
+# decoder layer are projected from the memory once, when encode_prefix adds
+# its rows ("dec.cross_attn.wkv")
+_ENC_LAYER = ("ln1.g", "ln1.b", "attn.wo", "attn.bo", "ln2.g", "ln2.b",
               "ffn.w1", "ffn.b1", "ffn.w2", "ffn.b2")
-_DEC_LAYER = ("ln1.g", "ln1.b", "self_attn.wq", "self_attn.bq", "self_attn.wk",
-              "self_attn.bk", "self_attn.wv", "self_attn.bv", "self_attn.wo",
-              "self_attn.bo", "ln2.g", "ln2.b", "cross_attn.wq", "cross_attn.bq",
-              "cross_attn.wo", "cross_attn.bo", "ln3.g", "ln3.b",
-              "ffn.w1", "ffn.b1", "ffn.w2", "ffn.b2")
-_CROSS_KV = ("cross_attn.wk", "cross_attn.bk", "cross_attn.wv", "cross_attn.bv")
+_DEC_LAYER = ("ln1.g", "ln1.b", "self_attn.wo", "self_attn.bo", "ln2.g", "ln2.b",
+              "cross_attn.wq", "cross_attn.bq", "cross_attn.wo", "cross_attn.bo",
+              "ln3.g", "ln3.b", "ffn.w1", "ffn.b1", "ffn.w2", "ffn.b2")
+_ENC_QKV = ("attn.wqkv", "attn.bqkv")
+_DEC_QKV = ("self_attn.wqkv", "self_attn.bqkv")
 
 
 @lru_cache(maxsize=None)
@@ -735,11 +783,17 @@ def encode_prefix(params: Parameters, new_tokens: Sequence[int],
     Returns a new state; ``state`` is unchanged.  Only the new rows are
     computed: they attend over the cached keys/values of earlier rows.
     Encoding a sequence in any block split yields the same rows as
-    encoding it in one call.  One new token travels as a (d,) row, so
-    every product is a vector-matrix one.
+    encoding it in one call up to rounding: a block's products are
+    matrix-matrix where one row's are vector-matrix, so rows can differ
+    in the last bits (by at most 1e-12 in tests; about 4e-15 on the
+    benchmark fixture).  One new token travels as a (d,) row, so every
+    product is a vector-matrix one.  Each self-attention projects q|k|v
+    in one product, and the new memory rows are projected into every
+    decoder layer's cross-attention keys and values in one product.
     """
     cfg = params.config
-    t = params.tensors
+    t, blocks = params.tensors, params.blocks
+    n_heads, dh, d = cfg.n_heads, cfg.head_dim, cfg.d_model
     new_ids = np.asarray(new_tokens, dtype=np.int64)
     if new_ids.ndim != 1 or len(new_ids) == 0:
         raise ValueError("need at least one new token")
@@ -756,18 +810,22 @@ def encode_prefix(params: Parameters, new_tokens: Sequence[int],
     else:
         h = _embed(params, params.src_embed_name, new_ids, z0)
         mask = causal_mask(len(new_ids), z, offset=z0)
-    for l, keys in enumerate(_layer_keys("enc", cfg.n_enc_layers, _ENC_LAYER)):
-        g1, b1, wq, bq, wk, bk, wv, bv, wo, bo, g2, b2, w1, fb1, w2, fb2 = [t[k] for k in keys]
+    layers = zip(_layer_keys("enc", cfg.n_enc_layers, _ENC_LAYER),
+                 _layer_keys("enc", cfg.n_enc_layers, _ENC_QKV))
+    for l, (keys, (wqkv, bqkv)) in enumerate(layers):
+        g1, b1, wo, bo, g2, b2, w1, fb1, w2, fb2 = [t[k] for k in keys]
         a_in, _ = layer_norm(h, g1, b1)
+        qkv = a_in @ blocks[wqkv] + blocks[bqkv]
         kv = enc_kv[l, :, :, :z]
-        _write_kv(kv[:, :, z0:], a_in, wk, bk, wv, bv)
-        h = h + _attend_precomputed(a_in, wq, bq, wo, bo, kv[0], kv[1], mask)
+        kv[:, :, z0:] = qkv[..., d:].reshape(-1, 2, n_heads, dh).transpose(1, 2, 0, 3)
+        h = h + _attend_precomputed(qkv[..., :d], wo, bo, kv[0], kv[1], mask)
         f_in, _ = layer_norm(h, g2, b2)
         h = h + _ffn_out(f_in, w1, fb1, w2, fb2)
     mem_rows, _ = layer_norm(h, t["enc.final_ln.g"], t["enc.final_ln.b"])
     memory[z0:z] = mem_rows
-    for l, keys in enumerate(_layer_keys("dec", cfg.n_dec_layers, _CROSS_KV)):
-        _write_kv(cross_kv[l, :, :, z0:z], mem_rows, *[t[k] for k in keys])
+    ckv = mem_rows @ blocks["dec.cross_attn.wkv"] + blocks["dec.cross_attn.bkv"]
+    cross_kv[..., z0:z, :] = (ckv.reshape(-1, cfg.n_dec_layers, 2, n_heads, dh)
+                              .transpose(1, 2, 3, 0, 4))
     rows.filled = z
     return EncoderState(rows, z)
 
@@ -806,7 +864,8 @@ def decode_step(params: Parameters, enc_state: EncoderState,
     Returns (logprobs (V,), new DecoderState); inputs are not mutated.
     """
     cfg = params.config
-    t = params.tensors
+    t, blocks = params.tensors, params.blocks
+    n_heads, dh, d = cfg.n_heads, cfg.head_dim, cfg.d_model
     if dec_state is None:
         dec_state = empty_decoder_state(params)
     if not 1 <= visible <= enc_state.n_tokens:
@@ -817,15 +876,18 @@ def decode_step(params: Parameters, enc_state: EncoderState,
     rows = _writable_rows(dec_state.rows, step, 1)
     self_kv = rows.arrays[0][:, :, :, : step + 1]
     cross_kv = enc_state.rows.arrays[2][:, :, :, :visible]
-    for l, keys in enumerate(_layer_keys("dec", cfg.n_dec_layers, _DEC_LAYER)):
-        (g1, b1, wq, bq, wk, bk, wv, bv, wo, bo, g2, b2,
-         cwq, cbq, cwo, cbo, g3, b3, w1, fb1, w2, fb2) = [t[k] for k in keys]
+    layers = zip(_layer_keys("dec", cfg.n_dec_layers, _DEC_LAYER),
+                 _layer_keys("dec", cfg.n_dec_layers, _DEC_QKV))
+    for l, (keys, (wqkv, bqkv)) in enumerate(layers):
+        (g1, b1, wo, bo, g2, b2, cwq, cbq, cwo, cbo,
+         g3, b3, w1, fb1, w2, fb2) = [t[k] for k in keys]
         a_in, _ = layer_norm(h, g1, b1)
+        qkv = a_in @ blocks[wqkv] + blocks[bqkv]
         kv = self_kv[l]
-        _write_kv(kv[:, :, step:], a_in, wk, bk, wv, bv)
-        h = h + _attend_precomputed(a_in, wq, bq, wo, bo, kv[0], kv[1])
+        kv[:, :, step] = qkv[d:].reshape(2, n_heads, dh)
+        h = h + _attend_precomputed(qkv[:d], wo, bo, kv[0], kv[1])
         c_in, _ = layer_norm(h, g2, b2)
-        h = h + _attend_precomputed(c_in, cwq, cbq, cwo, cbo, cross_kv[l, 0], cross_kv[l, 1])
+        h = h + _attend_precomputed(c_in @ cwq + cbq, cwo, cbo, cross_kv[l, 0], cross_kv[l, 1])
         f_in, _ = layer_norm(h, g3, b3)
         h = h + _ffn_out(f_in, w1, fb1, w2, fb2)
     hf, _ = layer_norm(h, t["dec.final_ln.g"], t["dec.final_ln.b"])
@@ -834,28 +896,20 @@ def decode_step(params: Parameters, enc_state: EncoderState,
     return logp, DecoderState(rows, step + 1)
 
 
-def _write_kv(kv: np.ndarray, x: np.ndarray, wk, bk, wv, bv) -> None:
-    """Project rows x, (d,) for one row or (m, d), to keys and values and
-    write them head-major into ``kv``, a (2, H, m, d_head) cache slice."""
-    n_heads, dh = kv.shape[1], kv.shape[3]
-    kv[0] = (x @ wk + bk).reshape(-1, n_heads, dh).swapaxes(0, 1)
-    kv[1] = (x @ wv + bv).reshape(-1, n_heads, dh).swapaxes(0, 1)
-
-
-def _attend_precomputed(q_in: np.ndarray, wq, bq, wo, bo, kh: np.ndarray, vh: np.ndarray,
+def _attend_precomputed(q: np.ndarray, wo, bo, kh: np.ndarray, vh: np.ndarray,
                         mask: np.ndarray | None = None) -> np.ndarray:
-    """Attention of q_in rows, (d,) for one row or (m, d), over keys and
-    values already projected and split into heads, (H, n, d_head) (the
-    streaming caches); the output has q_in's shape.  Without a mask every
-    query sees every key."""
+    """Attention of projected queries q, (d,) for one row or (m, d), over
+    keys and values already projected and split into heads, (H, n, d_head)
+    (the streaming caches), through the output projection; the output has
+    q's shape.  Without a mask every query sees every key."""
     n_heads, _, dh = kh.shape
-    qh = (q_in @ wq + bq).reshape(-1, n_heads, dh).swapaxes(0, 1)
+    qh = q.reshape(-1, n_heads, dh).swapaxes(0, 1)
     scores = qh @ kh.swapaxes(1, 2)
     scores *= 1.0 / math.sqrt(dh)
     if mask is not None:
         scores += mask
     p = _masked_softmax(scores)
-    return (p @ vh).swapaxes(0, 1).reshape(q_in.shape) @ wo + bo
+    return (p @ vh).swapaxes(0, 1).reshape(q.shape) @ wo + bo
 
 
 def _ffn_out(x: np.ndarray, w1, b1, w2, b2) -> np.ndarray:
@@ -932,5 +986,5 @@ def load_checkpoint(path) -> Parameters:
     tensors = {}
     for name, shape in expect.items():
         arr = np.frombuffer(payload, dtype="<f8", count=math.prod(shape), offset=layout[name][1])
-        tensors[name] = arr.reshape(shape).astype(np.float64)
-    return Parameters(config=config, tensors=tensors)
+        tensors[name] = arr.reshape(shape)
+    return Parameters(config, tensors)

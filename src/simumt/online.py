@@ -100,8 +100,9 @@ class OnlinePolicy:
 
     def __post_init__(self) -> None:
         wait_k_z(self.k_eval, 1, 1)  # validates k
-        if self.alpha_len < 0 or self.beta_len < 1:
-            raise ValueError("write budget must allow at least one token")
+        # written so that NaN fails too
+        if not (0 <= self.alpha_len < math.inf and 1 <= self.beta_len < math.inf):
+            raise ValueError("write budget needs finite alpha_len >= 0 and beta_len >= 1")
 
     def write_budget(self, observed: int) -> float:
         return self.alpha_len * observed + self.beta_len
@@ -111,7 +112,13 @@ class OnlinePolicy:
 
 
 class ModelSession:
-    """Incremental wrapper around one Parameters for step-wise decoding."""
+    """Incremental wrapper around one Parameters for step-wise decoding.
+
+    Source ids wait in a list until the next ``next_logprobs``, which
+    encodes them as one `model.encode_prefix` block: wait-k's first k
+    reads, a whole k=inf source or a cascade segment cost one encoder
+    call, not one per id.  ``n_encoded`` counts the waiting ids too.
+    """
 
     def __init__(self, params: M.Parameters):
         self.params = params
@@ -119,16 +126,19 @@ class ModelSession:
         self.dec: M.DecoderState | None = None
         self.prev = BOS
         self._pending: M.DecoderState | None = None
+        self._unencoded: list[int] = []
 
     @property
     def n_encoded(self) -> int:
-        return 0 if self.enc is None else self.enc.n_tokens
+        return (0 if self.enc is None else self.enc.n_tokens) + len(self._unencoded)
 
     def extend_source(self, tokens: Sequence[int]) -> None:
-        if len(tokens):
-            self.enc = M.encode_prefix(self.params, tokens, self.enc)
+        self._unencoded.extend(tokens)
 
     def next_logprobs(self, visible: int) -> np.ndarray:
+        if self._unencoded:
+            self.enc = M.encode_prefix(self.params, self._unencoded, self.enc)
+            self._unencoded = []
         logp, self._pending = M.decode_step(
             self.params, self.enc, self.dec, self.prev, visible)
         return logp
@@ -141,7 +151,8 @@ class ModelSession:
         self.prev = token
 
     def reset_target(self) -> None:
-        """Start a new target sentence; the encoded source is kept."""
+        """Start a new target sentence; the source, encoded or waiting,
+        is kept."""
         self.dec = None
         self.prev = BOS
         self._pending = None

@@ -15,11 +15,14 @@ Frames (one JSON object per line):
 
 A malformed frame (invalid UTF-8 or JSON, or a line longer than
 MAX_FRAME_BYTES bytes with its newline) gets {"error": ...} and the
-connection closes; the session is dropped from scoring.  A START id must
-be a JSON integer naming a sentence that has no session yet.  Reads past
-the end keep answering with the end marker.  Writing the end-of-sequence
-token finishes the session.  A session accepts at most 2·|source| + 50 content
-WRITEs (|source| in tokens, or words for speech); one more is an error.
+connection closes; the session is dropped from scoring.  So is the
+session of a connection that stays silent for IDLE_TIMEOUT_S seconds or
+fails on a socket error (a reset), which closes without a reply.  A START
+id must be a JSON integer naming a sentence that has no session yet.
+Reads past the end keep answering with the end marker.  Writing the
+end-of-sequence token finishes the session.  A session accepts at most
+2·|source| + 50 content WRITEs (|source| in tokens, or words for speech);
+one more is an error.
 
 SCORE runs `metrics.score_runs`, as the offline sweeps do, over completed
 sessions.  A testset with an empty source or stream is refused.
@@ -43,6 +46,7 @@ from .online import ActionTrace, Chunk, ReadEvent, WriteEvent, read_write_decode
 from .vocab import EOS_TOKEN
 
 MAX_FRAME_BYTES = 64 * 1024     # one client frame line, newline included
+IDLE_TIMEOUT_S = 300.0          # socket timeout of a connection's reads and writes
 
 
 @dataclass(frozen=True)
@@ -93,6 +97,10 @@ class EvalSession:
 
 
 class _Handler(socketserver.StreamRequestHandler):
+    def setup(self) -> None:
+        self.timeout = IDLE_TIMEOUT_S       # read at connect time, not at import
+        super().setup()
+
     def handle(self) -> None:
         server: EvalServer = self.server  # type: ignore[assignment]
         session: EvalSession | None = None
@@ -153,6 +161,8 @@ class _Handler(socketserver.StreamRequestHandler):
                     session.aborted = True
                     self._send({"error": f"unknown act {act!r}"})
                     return
+        except OSError:     # idle timeout, reset or broken pipe: close quietly
+            pass
         finally:
             if session is not None and not session.done:
                 session.aborted = True

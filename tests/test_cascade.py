@@ -362,6 +362,17 @@ def test_cascade_config_validation():
         C.CascadeConfig(block_ms=0.0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("sz", math.nan), ("sz", 1.5), ("alpha", math.nan), ("alpha", math.inf),
+    ("beta", math.nan), ("beta", math.inf), ("block_ms", math.nan), ("block_ms", math.inf)])
+def test_cascade_config_refuses_non_finite_or_fractional_numbers(field, value):
+    # NaN passed every `<` check: alpha=nan wrote up to the hard cap, and
+    # block_ms=nan failed later converting NaN to an integer; sz=1.5 failed
+    # in the driver with a TypeError
+    with pytest.raises(ValueError):
+        C.CascadeConfig(**{field: value})
+
+
 # ---------------------------------------------------------------------------
 # segmentation
 

@@ -7,7 +7,7 @@ import pytest
 from simumt import model as M
 from simumt import online as O
 from simumt.training import INFINITE_K
-from simumt.vocab import EOS
+from simumt.vocab import BOS, EOS
 
 
 def small_params(seed=0, vocab=16):
@@ -85,6 +85,14 @@ def test_policy_validation():
         O.OnlinePolicy(k_eval=0)
     with pytest.raises(ValueError):
         O.OnlinePolicy(k_eval=2, beta_len=0)
+
+
+@pytest.mark.parametrize("field", ["alpha_len", "beta_len"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_policy_refuses_non_finite_budget(field, value):
+    # NaN passed both `<` checks and left the write budget unbounded
+    with pytest.raises(ValueError):
+        O.OnlinePolicy(k_eval=2, **{field: value})
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +215,69 @@ def test_model_session_reset_target_keeps_source():
         s.commit(8)
     assert s.n_encoded == 3
     assert np.array_equal(s.next_logprobs(2), first)
+    waiting = O.ModelSession(params)         # ids not yet encoded survive a reset
+    waiting.extend_source([4, 5, 6])
+    waiting.reset_target()
+    assert waiting.n_encoded == 3
+    assert np.array_equal(waiting.next_logprobs(2), first)
+
+
+class PerTokenSession:
+    """A session that encodes every source id in its own call, as one-row
+    encoder extensions."""
+
+    def __init__(self, params):
+        self.params, self.enc, self.dec, self.prev = params, None, None, BOS
+
+    def extend_source(self, tokens):
+        for t in tokens:
+            self.enc = M.encode_prefix(self.params, [t], self.enc)
+
+    def next_logprobs(self, visible):
+        logp, self.pending = M.decode_step(self.params, self.enc, self.dec,
+                                           self.prev, visible)
+        return logp
+
+    def commit(self, token):
+        self.dec, self.prev = self.pending, token
+
+
+@pytest.mark.parametrize("k", [1, 3, INFINITE_K])
+def test_deferred_block_encoding_matches_per_token_encoding(k, monkeypatch):
+    # ModelSession encodes the ids read since its last write as one block;
+    # blocks round differently from one-row extensions, within 1e-12
+    params = small_params(seed=6)
+    rng = np.random.default_rng(7)
+    blocks, logps = [], []
+    real_encode, real_step = M.encode_prefix, M.decode_step
+
+    def encode(p, ids, state=None):
+        blocks.append(len(ids))
+        return real_encode(p, ids, state)
+
+    def step(*args):
+        logp, dec = real_step(*args)
+        logps.append(logp)
+        return logp, dec
+
+    monkeypatch.setattr(M, "encode_prefix", encode)
+    monkeypatch.setattr(M, "decode_step", step)
+    for _ in range(8):
+        x = [int(v) for v in rng.integers(4, 16, size=rng.integers(2, 12))]
+        policy = O.OnlinePolicy(k_eval=k, alpha_len=1.0, beta_len=6)
+        runs = []
+        for session in (O.ModelSession(params), PerTokenSession(params)):
+            blocks.clear()
+            logps.clear()
+            runs.append((O.online_greedy_decode([session], x, policy), list(blocks), list(logps)))
+        (block_out, block_calls, block_logps), (token_out, _, token_logps) = runs
+        assert block_out == token_out
+        assert len(block_logps) == len(token_logps)
+        assert all(np.abs(a - b).max() < 1e-12 for a, b in zip(block_logps, token_logps))
+        # the first write encodes k ids in one call, or the whole source
+        # and its end marker when k reaches past it
+        assert block_calls[0] == (len(x) + 1 if k >= len(x) else k)
+        assert sum(block_calls) == len(x) + 1
 
 
 # ---------------------------------------------------------------------------

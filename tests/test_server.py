@@ -1,6 +1,7 @@
 import json
 import math
 import socket
+import struct
 import time
 from contextlib import contextmanager
 from dataclasses import replace
@@ -239,6 +240,45 @@ def test_invalid_utf8_gets_an_error_frame_and_aborts():
         assert c.recv()["error"].startswith("malformed frame:")
         c.close()
         assert srv.sessions[0].aborted
+        c = RawClient(host, port)
+        assert "error" in c.call({"act": "SCORE"})      # the server still answers
+        c.close()
+
+
+def _wait_for(cond, timeout_s=5.0):
+    deadline = time.monotonic() + timeout_s
+    while not cond():
+        assert time.monotonic() < deadline, "timed out"
+        time.sleep(0.01)
+
+
+def test_silent_connection_times_out_quietly(monkeypatch):
+    # with no timeout a silent client held its thread and session forever
+    monkeypatch.setattr(S, "IDLE_TIMEOUT_S", 0.2)
+    with running(t2t_testset()) as (srv, host, port):
+        errors = []
+        monkeypatch.setattr(srv, "handle_error", lambda *a: errors.append(a))
+        c = RawClient(host, port)
+        assert c.call({"act": "START", "id": 0})["ok"]
+        t0 = time.monotonic()
+        assert c.file.readline() == b""         # closed without a reply
+        assert 0.15 < time.monotonic() - t0 < 5.0
+        c.close()
+        _wait_for(lambda: srv.sessions[0].aborted)
+        assert errors == []                     # handle_error prints a traceback
+
+
+def test_reset_connection_aborts_its_session_quietly(monkeypatch):
+    with running(t2t_testset()) as (srv, host, port):
+        errors = []
+        monkeypatch.setattr(srv, "handle_error", lambda *a: errors.append(a))
+        c = RawClient(host, port)
+        assert c.call({"act": "START", "id": 0})["ok"]
+        # linger 0: close sends a reset instead of an orderly end of stream
+        c.sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        c.close()
+        _wait_for(lambda: srv.sessions[0].aborted)
+        assert errors == []
         c = RawClient(host, port)
         assert "error" in c.call({"act": "SCORE"})      # the server still answers
         c.close()

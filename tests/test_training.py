@@ -293,6 +293,37 @@ def test_train_zero_epochs_returns_initial_params():
                for k in before.tensors)
 
 
+def assert_views_attached(params):
+    """Every grouped tensor is the view of its block at its offset."""
+    groups = M.storage_groups(params.config)
+    assert set(params.blocks) == set(groups)
+    for block, names in groups.items():
+        b, at = params.blocks[block], 0
+        for name in names:
+            t, width = params.tensors[name], params.tensors[name].shape[-1]
+            assert np.shares_memory(t, b), name
+            assert np.array_equal(t, b[..., at : at + width]), name
+            at += width
+        assert at == b.shape[-1]
+
+
+def test_grouped_tensors_stay_views_of_their_blocks(tmp_path):
+    # the streaming step multiplies by the blocks, so a tensor that came
+    # loose from its block (a copy, a rebuilt dict) would go stale there
+    params, tr, dev = toy_setup()
+    assert_views_attached(params)
+    assert_views_attached(params.copy())
+    M.save_checkpoint(params, tmp_path / "m.ckpt")
+    assert_views_attached(M.load_checkpoint(tmp_path / "m.ckpt"))
+    before = params.copy()
+    res = T.train(params, tr, dev, T.LossConfig(), epochs=1, seed=1,
+                  batch_size=8, base_lr=0.2, warmup_steps=50)
+    name = "dec.0.cross_attn.wv"
+    assert not np.array_equal(params.tensors[name], before.tensors[name])
+    assert_views_attached(params)                   # edited in place by adam_update
+    assert_views_attached(res.params)
+
+
 def test_train_runs_and_checkpoints_best_epoch():
     params, tr, dev = toy_setup()
     res = T.train(params, tr, dev, T.LossConfig(), epochs=3, seed=1,
