@@ -10,8 +10,7 @@ from .corpus import SentencePair, gen_toy_corpus, toy_vocabulary
 from .bpe import BpeModel, train_bpe
 from .model import (DecoderState, EncoderState, ModelConfig, Parameters,
                     decode_step, desk_config, encode_prefix,
-                    forward_teacher_forced, init_parameters, load_checkpoint,
-                    save_checkpoint)
+                    init_parameters, load_checkpoint, save_checkpoint)
 from .training import (INFINITE_K, LossConfig, WaitKPath, grad_check,
                        label_smoothed_nll, lr_at, multi_path_loss, path_loss,
                        train, wait_k_z)

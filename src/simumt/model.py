@@ -4,7 +4,9 @@ Everything runs in float64 numpy.  The teacher-forced path (primitives,
 ``encoder_forward``, ``decoder_forward``, ``forward_full`` and the
 backward passes) takes a sentence or a batch: ids shaped (n,) or (B, n)
 give hidden rows shaped (n, d) or (B, n, d), and one sentence is simply a
-batch of one.  A batch is padded at the end of every row (``pad_batch``),
+batch of one.  ``decoder_forward`` also takes a row map, forward only,
+that decodes several read paths of each sentence while sharing the work
+no path changes.  A batch is padded at the end of every row (``pad_batch``),
 with any token id; the causal masks already keep real rows off the
 padding, a padded target row sees one encoder row, and a zero ``dlogp``
 on padded rows keeps them out of every gradient.  The encoder is
@@ -51,7 +53,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .vocab import BOS, EOS, PAD
+from .vocab import EOS, PAD
 
 NEG_INF = -np.inf
 _LN_EPS = 1e-5
@@ -362,17 +364,22 @@ def _project(params: Parameters, prefix: str, which: str, x: np.ndarray) -> np.n
     return x @ t[f"{prefix}.w{which}"] + t[f"{prefix}.b{which}"]
 
 
-def attention(params: Parameters, prefix: str, q_in: np.ndarray, kv_in: np.ndarray,
-              mask: np.ndarray | None):
+def attention(params: Parameters, prefix: str, q_in: np.ndarray, kv_in: np.ndarray | None,
+              mask: np.ndarray | None, kv: tuple[np.ndarray, np.ndarray] | None = None):
     """Multi-head attention of q_in rows over kv_in rows, per sentence;
-    ``mask`` is (m, n), shared by the batch, or (B, m, n)."""
+    ``mask`` is (m, n), shared by the batch, or (B, m, n).  ``kv``, the
+    key and value heads when the caller has projected them already (the
+    row-mapped decoder), stands in for ``kv_in``; its cache is then good
+    for nothing but the forward pass."""
     t = params.tensors
     h = params.config.n_heads
     scale = 1.0 / math.sqrt(params.config.head_dim)
-    q = _project(params, prefix, "q", q_in)
-    k = _project(params, prefix, "k", kv_in)
-    v = _project(params, prefix, "v", kv_in)
-    qh, kh, vh = _split_heads(q, h), _split_heads(k, h), _split_heads(v, h)
+    qh = _split_heads(_project(params, prefix, "q", q_in), h)
+    if kv is None:
+        kh = _split_heads(_project(params, prefix, "k", kv_in), h)
+        vh = _split_heads(_project(params, prefix, "v", kv_in), h)
+    else:
+        kh, vh = kv
     scores = qh @ kh.swapaxes(-1, -2)
     scores *= scale
     if mask is not None:
@@ -569,23 +576,54 @@ def encoder_backward(params: Parameters, cache, dmem: np.ndarray,
     _embed_backward(params, params.src_embed_name, x_model, dh, grads)
 
 
+def _cross_kv_rows(params: Parameters, mem: np.ndarray, rows: np.ndarray):
+    """Every decoder layer's cross-attention key and value heads over
+    ``mem`` (S, n, d), projected once per sentence (one product by the
+    grouped k|v block) and gathered per row: [layer][0 or 1] is
+    (R, H, n, d_head)."""
+    cfg = params.config
+    b = params.blocks
+    kv = mem @ b["dec.cross_attn.wkv"] + b["dec.cross_attn.bkv"]
+    s, n, _ = mem.shape
+    kv = kv.reshape(s, n, cfg.n_dec_layers, 2, cfg.n_heads, cfg.head_dim)
+    return kv[rows].transpose(2, 3, 0, 4, 1, 5)
+
+
 def decoder_forward(params: Parameters, mem: np.ndarray, y_in: np.ndarray,
-                    visible_model: np.ndarray):
+                    visible_model: np.ndarray, rows: np.ndarray | None = None):
     """Teacher-forced decoder over ``mem`` (n, d) or (B, n, d); target row
     t of y_in, (m,) or (B, m), sees the first visible_model[..., t]
-    encoder rows.  Returns (logprobs (m, V) or (B, m, V), cache)."""
+    encoder rows.  Returns (logprobs (m, V) or (B, m, V), cache).
+
+    ``rows``, (R,), decodes several read paths of the same sentences:
+    ``mem`` (S, n, d) and ``y_in`` (S, m) then hold one entry per
+    sentence, and row r decodes sentence rows[r] under visible_model[r],
+    (R, m), giving (R, m, V).  Work that no path changes runs once per
+    sentence: the target embedding, the first layer up to its
+    cross-attention (teacher forcing feeds every path the same y_in, and
+    visibility enters only there), and every layer's cross-attention keys
+    and values.  A row-mapped cache is forward-only; ``decoder_backward``
+    refuses it.
+    """
     y_in = np.asarray(y_in, dtype=np.int64)
     m = y_in.shape[-1]
     h = _embed(params, params.tgt_embed_name, y_in, 0)
     self_mask = causal_mask(m, m)
     cross_mask = visibility_mask(visible_model, mem.shape[-2])
+    cross_kv = None if rows is None else _cross_kv_rows(params, mem, rows)
     layer_caches = []
     for l in range(params.config.n_dec_layers):
         a_in, ln1c = layer_norm(h, params.tensors[f"dec.{l}.ln1.g"], params.tensors[f"dec.{l}.ln1.b"])
         a_out, selfc = attention(params, f"dec.{l}.self_attn", a_in, a_in, self_mask)
         h = h + a_out
         c_in, ln2c = layer_norm(h, params.tensors[f"dec.{l}.ln2.g"], params.tensors[f"dec.{l}.ln2.b"])
-        c_out, crossc = attention(params, f"dec.{l}.cross_attn", c_in, mem, cross_mask)
+        if cross_kv is None:
+            c_out, crossc = attention(params, f"dec.{l}.cross_attn", c_in, mem, cross_mask)
+        else:
+            if l == 0:  # the paths differ from here on
+                h, c_in = h[rows], c_in[rows]
+            c_out, crossc = attention(params, f"dec.{l}.cross_attn", c_in, None, cross_mask,
+                                      cross_kv[l])
         h = h + c_out
         f_in, ln3c = layer_norm(h, params.tensors[f"dec.{l}.ln3.g"], params.tensors[f"dec.{l}.ln3.b"])
         f_out, ffnc = ffn(params, f"dec.{l}.ffn", f_in)
@@ -595,13 +633,15 @@ def decoder_forward(params: Parameters, mem: np.ndarray, y_in: np.ndarray,
     e_out = params.tensors[params.out_proj_name]
     logits = hf @ e_out.T
     logp = log_softmax(logits)
-    return logp, (y_in, layer_caches, lnfc, hf, logp)
+    return logp, (y_in, layer_caches, lnfc, hf, logp, rows)
 
 
 def decoder_backward(params: Parameters, cache, dlogp: np.ndarray,
                      grads: dict[str, np.ndarray]) -> np.ndarray:
     """Returns dmem (gradient wrt encoder memory)."""
-    y_in, layer_caches, lnfc, hf, logp = cache
+    y_in, layer_caches, lnfc, hf, logp, rows = cache
+    if rows is not None:
+        raise ValueError("a row-mapped decoder pass is forward-only")
     dlogits = dlogp - np.exp(logp) * dlogp.sum(axis=-1, keepdims=True)
     e_out = params.tensors[params.out_proj_name]
     grads[params.out_proj_name] += _rows(dlogits).T @ _rows(hf)
@@ -669,15 +709,6 @@ def backward_full(params: Parameters, cache, dlogp: np.ndarray,
     dmem = decoder_backward(params, dec_cache, dlogp[None] if single else dlogp, grads)
     encoder_backward(params, enc_cache, dmem, grads)
     return grads
-
-
-def forward_teacher_forced(params: Parameters, x: Sequence[int], y: Sequence[int],
-                           path: Sequence[int]) -> np.ndarray:
-    """Log-probabilities of the gold targets y under the given read path."""
-    y = np.asarray(y, dtype=np.int64)
-    y_in = np.concatenate([[BOS], y[:-1]])
-    logp, _ = forward_full(params, x, y_in, path)
-    return logp[np.arange(len(y)), y]
 
 
 # ---------------------------------------------------------------------------

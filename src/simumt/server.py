@@ -22,7 +22,9 @@ id must be a JSON integer naming a sentence that has no session yet.
 Reads past the end keep answering with the end marker.  Writing the
 end-of-sequence token finishes the session.  A session accepts at most
 2·|source| + 50 content WRITEs (|source| in tokens, or words for speech);
-one more is an error.
+one more is an error.  At most MAX_CONNECTIONS connections are served at
+once; one more gets {"error": "server busy"} and is closed at once, with
+no thread started for it.
 
 SCORE runs `metrics.score_runs`, as the offline sweeps do, over completed
 sessions.  A testset with an empty source or stream is refused.
@@ -47,6 +49,7 @@ from .vocab import EOS_TOKEN
 
 MAX_FRAME_BYTES = 64 * 1024     # one client frame line, newline included
 IDLE_TIMEOUT_S = 300.0          # socket timeout of a connection's reads and writes
+MAX_CONNECTIONS = 64            # live connections, each with its own thread
 
 
 @dataclass(frozen=True)
@@ -179,6 +182,7 @@ class EvalServer(socketserver.ThreadingTCPServer):
     def __init__(self, host: str, port: int, testset: ServerTestset):
         super().__init__((host, port), _Handler)
         self.testset = testset
+        self._slots = threading.BoundedSemaphore(MAX_CONNECTIONS)
         self._lock = threading.Lock()
         self._next_id = 0
         self.sessions: dict[int, EvalSession] = {}
@@ -265,6 +269,30 @@ class EvalServer(socketserver.ThreadingTCPServer):
         if al_ms is not None:
             out["al_ms"] = al_ms
         return out
+
+    # -- connections -------------------------------------------------------
+
+    def process_request(self, request, client_address) -> None:
+        """Serve the connection on a thread of its own if a slot is free,
+        else refuse it from the accepting thread."""
+        if not self._slots.acquire(blocking=False):
+            try:
+                request.sendall(b'{"error": "server busy"}\n')
+            except OSError:
+                pass
+            self.shutdown_request(request)
+            return
+        try:
+            super().process_request(request, client_address)
+        except BaseException:   # no thread started: it will not free the slot
+            self._slots.release()
+            raise
+
+    def process_request_thread(self, request, client_address) -> None:
+        try:
+            super().process_request_thread(request, client_address)
+        finally:
+            self._slots.release()
 
     # -- lifecycle ---------------------------------------------------------
 

@@ -15,10 +15,14 @@ Sentences are computed in groups, as padded batches (see ``model``): a
 mini-batch is sorted by target length and cut into groups of at most
 ``_GROUP_POSITIONS`` padded target positions, each one forward and one
 backward pass.  The enumerated objective (``expected_multi_path_loss``,
-the multi-path ``dev_loss``) encodes each group of sentences once and
-decodes all |x| wait-k paths of a sentence as decoder rows sharing that
-memory (Elbayad et al. 2020, efficient multi-path wait-k), under the same
-budget on rows x target length.  A single sentence is a group of one.
+the multi-path ``dev_loss``) keeps no activations, so it runs under the
+larger ``_NO_GRAD_POSITIONS`` budget on rows x target length.  It encodes
+each group of sentences once and decodes all |x| wait-k paths of a
+sentence as rows of one row-mapped ``decoder_forward``, which computes
+once per sentence all the decoder work that no path changes: the first
+layer up to its cross-attention, and every layer's cross-attention keys
+and values (Elbayad et al. 2020, efficient multi-path wait-k).  A single
+sentence is a group of one.
 """
 from __future__ import annotations
 
@@ -37,6 +41,12 @@ INFINITE_K = math.inf
 # large enough to amortize per-call overhead, small enough that activations
 # stay a few hundred kB
 _GROUP_POSITIONS = 64
+# the same budget for passes without a backward (the dev loss): they keep
+# no activations, so larger groups and decoder chunks cost little memory and
+# spread per-call overhead over more rows.  Timing the benchmark's dev set
+# at budgets from 64 to 2048 put the optimum at 256 (30 ms, against 46 at 64
+# and 35-37 at 512-1024, where temporaries outgrow the caches)
+_NO_GRAD_POSITIONS = 256
 
 
 def wait_k_z(k: float, t: int, src_len: int) -> int:
@@ -70,6 +80,13 @@ class WaitKPath:
         if self.k == INFINITE_K:
             return np.full(tgt_len, self.src_len, dtype=np.int64)
         return np.minimum(np.arange(self.k, self.k + tgt_len, dtype=np.int64), self.src_len)
+
+
+def _wait_k_rows(ks, src_len: int, tgt_len: int) -> np.ndarray:
+    """``WaitKPath(k, src_len).zs(tgt_len)`` for every (validated) k in
+    ``ks``, as one broadcast: (len(ks), tgt_len)."""
+    k = np.asarray(ks, dtype=np.float64)[:, None]  # float: k may be infinite
+    return np.minimum(k + np.arange(tgt_len), src_len).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -139,13 +156,19 @@ def label_smoothed_nll(log_probs: np.ndarray, gold: np.ndarray, eps: float,
     return losses, dlogp
 
 
-def _target_rows(targets, ks, src_lens):
-    """Teacher-forcing rows for (target, k, |x|) triples, padded:
-    (y_in, gold, target lengths, wait-k path with 0 on padding)."""
+def _teacher_forcing(targets):
+    """Padded targets as (decoder input, gold, target lengths)."""
     gold, y_len = M.pad_batch(targets)
     y_in = np.empty_like(gold)
     y_in[:, 0] = BOS
     y_in[:, 1:] = gold[:, :-1]
+    return y_in, gold, y_len
+
+
+def _target_rows(targets, ks, src_lens):
+    """Teacher-forcing rows for (target, k, |x|) triples, padded:
+    (y_in, gold, target lengths, wait-k path with 0 on padding)."""
+    y_in, gold, y_len = _teacher_forcing(targets)
     path = np.zeros_like(gold)
     for row, k, n, m in zip(path, ks, src_lens, y_len):
         row[:m] = WaitKPath(k, n).zs(m)
@@ -164,15 +187,18 @@ def _group_losses(params: M.Parameters, pairs, ks, eps: float, grads=None) -> np
     return losses
 
 
-def _length_groups(lengths, rows=None) -> list[list[int]]:
+def _length_groups(lengths, rows=None, budget=None) -> list[list[int]]:
     """Indices sorted by length (stable), cut into runs whose rows x
-    longest length stay within _GROUP_POSITIONS; an index that alone
-    exceeds it forms its own group.  ``rows[i]`` defaults to 1."""
+    longest length stay within ``budget`` (default _GROUP_POSITIONS); an
+    index that alone exceeds it forms its own group.  ``rows[i]`` defaults
+    to 1."""
+    if budget is None:
+        budget = _GROUP_POSITIONS
     groups: list[list[int]] = []
     used = 0
     for i in sorted(range(len(lengths)), key=lengths.__getitem__):
         r = 1 if rows is None else rows[i]
-        if groups and (used + r) * lengths[i] <= _GROUP_POSITIONS:
+        if groups and (used + r) * lengths[i] <= budget:
             groups[-1].append(i)
             used += r
         else:
@@ -199,28 +225,36 @@ def _batch_grads(params: M.Parameters, batch, ks, eps: float):
 def _path_losses(params: M.Parameters, pairs, ks, eps: float) -> list[np.ndarray]:
     """Loss of pairs[i] under each wait-k path in ks[i], no gradients.
 
-    Each group of sentences is encoded once; its (sentence, k) rows are
-    decoded against that memory in chunks of at most _GROUP_POSITIONS
-    padded target positions.
+    Sentences are grouped by target length under _NO_GRAD_POSITIONS
+    padded target positions, counting one row per path.  Each group is
+    encoded once and its (sentence, k) rows decoded by one row-mapped
+    ``decoder_forward``, which also runs the path-independent decoder
+    work (the first layer up to cross-attention, and the cross-attention
+    keys and values) once per sentence.  A sentence whose paths alone
+    exceed the budget is decoded in chunks of rows within it.
     """
-    out = [np.empty(len(k)) for k in ks]
+    out = [None] * len(pairs)
     tgt_lens = [len(p.target) for p in pairs]
-    for group in _length_groups(tgt_lens, [len(k) for k in ks]):
+    for group in _length_groups(tgt_lens, [len(k) for k in ks], _NO_GRAD_POSITIONS):
         x, x_len = M.pad_batch([pairs[i].source for i in group])
         mem, _ = M.encoder_forward(params, M.with_source_markers(x, x_len))
-        rows = [(g, j) for g, i in enumerate(group) for j in range(len(ks[i]))]
-        step = max(1, _GROUP_POSITIONS // max(tgt_lens[i] for i in group))
+        y_in, gold, y_len = _teacher_forcing([pairs[i].target for i in group])
+        n_paths = [len(ks[i]) for i in group]
+        rows = np.repeat(np.arange(len(group)), n_paths)
+        path = np.zeros((len(rows), y_in.shape[1]), dtype=np.int64)
+        at = 0
+        for g, i in enumerate(group):
+            path[at : at + n_paths[g], : y_len[g]] = _wait_k_rows(ks[i], x_len[g], y_len[g])
+            at += n_paths[g]
+        visible = M.path_visibility(path, x_len[rows])
+        losses = np.empty(len(rows))
+        step = max(1, _NO_GRAD_POSITIONS // y_in.shape[1])
         for c in range(0, len(rows), step):
-            chunk = rows[c : c + step]
-            at = np.array([g for g, _ in chunk])
-            y_in, gold, y_len, path = _target_rows(
-                [pairs[group[g]].target for g, _ in chunk],
-                [ks[group[g]][j] for g, j in chunk], x_len[at])
-            logp, _ = M.decoder_forward(params, mem[at], y_in,
-                                        M.path_visibility(path, x_len[at]))
-            losses, _ = label_smoothed_nll(logp, gold, eps, y_len)
-            for (g, j), loss in zip(chunk, losses):
-                out[group[g]][j] = loss
+            r = rows[c : c + step]
+            logp, _ = M.decoder_forward(params, mem, y_in, visible[c : c + step], r)
+            losses[c : c + step], _ = label_smoothed_nll(logp, gold[r], eps, y_len[r])
+        for i, loss in zip(group, np.split(losses, np.cumsum(n_paths)[:-1])):
+            out[i] = loss
     return out
 
 
@@ -403,8 +437,13 @@ class TrainResult:
 
 def dev_loss(params: M.Parameters, pairs: list[SentencePair], cfg: LossConfig) -> float:
     """Deterministic held-out loss: the exact per-sentence objective
-    (enumerated over k in multi_path mode), token-weighted.  Each group of
-    sentences is encoded once for all of its paths."""
+    (enumerated over k in multi_path mode, the one k in single_k mode),
+    token-weighted.  Runs `_path_losses`: each group of sentences within
+    _NO_GRAD_POSITIONS is encoded once for all of its paths, and the
+    path-independent decoder work is done once per sentence.  An empty
+    dev set raises ValueError."""
+    if not pairs:
+        raise ValueError("empty dev set")
     if cfg.mode == "single_k":
         losses = [float(row[0]) for row in
                   _path_losses(params, pairs, [[cfg.k]] * len(pairs), cfg.smoothing_eps)]

@@ -118,7 +118,7 @@ def test_visible_source_len():
         M.visible_source_len(6, 5)
 
 
-def test_forward_teacher_forced_is_normalized():
+def test_forward_full_is_normalized():
     params = small_params()
     rng = np.random.default_rng(0)
     x = rand_sentence(rng, 6)
@@ -127,21 +127,20 @@ def test_forward_teacher_forced_is_normalized():
     logp, _ = M.forward_full(params, x, [BOS] + y[:-1], path)
     assert logp.shape == (len(y), 16)
     assert np.allclose(np.exp(logp).sum(axis=-1), 1.0, atol=1e-12)
-    gold = M.forward_teacher_forced(params, x, y, path)
-    assert np.array_equal(gold, logp[np.arange(len(y)), y])
 
 
 def test_path_validation():
     params = small_params()
     x, y = [4, 5, 6], [7, 8, EOS]
+    y_in = [BOS] + y[:-1]
     with pytest.raises(ValueError):
-        M.forward_teacher_forced(params, x, y, [1, 2])       # wrong length
+        M.forward_full(params, x, y_in, [1, 2])       # wrong length
     with pytest.raises(ValueError):
-        M.forward_teacher_forced(params, x, y, [2, 1, 3])    # decreasing
+        M.forward_full(params, x, y_in, [2, 1, 3])    # decreasing
     with pytest.raises(ValueError):
-        M.forward_teacher_forced(params, x, y, [1, 2, 4])    # beyond |x|
+        M.forward_full(params, x, y_in, [1, 2, 4])    # beyond |x|
     with pytest.raises(ValueError):
-        M.forward_teacher_forced(params, x, y, [0, 1, 2])    # below 1
+        M.forward_full(params, x, y_in, [0, 1, 2])    # below 1
 
 
 def random_batch(rng, n_sent, max_src=9, max_tgt=8):
@@ -221,6 +220,41 @@ def test_padding_content_is_inert_bitwise():
     (lp0, g0), (lp1, g1) = runs
     assert np.array_equal(lp0, lp1)
     assert all(np.array_equal(g0[name], g1[name]) for name in g0)
+
+
+def row_mapped_case(params, rng):
+    """Three padded sentences encoded once, and seven path rows over them
+    with repeats: (mem, y_in, x_len, y_len, rows, visible)."""
+    xs, ys, _ = random_batch(rng, 3)
+    x, x_len, y_in, _ = padded(xs, ys, [[1]] * 3)
+    y_len = np.array([len(y) for y in ys])
+    assert len(set(y_len.tolist())) > 1 and len(set(x_len.tolist())) > 1
+    mem, _ = M.encoder_forward(params, M.with_source_markers(x, x_len))
+    rows = np.array([0, 2, 2, 1, 0, 2, 1])
+    path = np.zeros((len(rows), y_in.shape[1]), dtype=np.int64)
+    for r, s in enumerate(rows):
+        path[r, : y_len[s]] = np.sort(rng.integers(1, x_len[s] + 1, size=y_len[s]))
+    return mem, y_in, x_len, y_len, rows, M.path_visibility(path, x_len[rows])
+
+
+def test_row_mapped_decoder_equals_a_row_per_path_bitwise():
+    params = small_params(seed=7)
+    rng = np.random.default_rng(10)
+    for _ in range(5):
+        mem, y_in, _, y_len, rows, visible = row_mapped_case(params, rng)
+        got, _ = M.decoder_forward(params, mem, y_in, visible, rows)
+        want, _ = M.decoder_forward(params, mem[rows], y_in[rows], visible)
+        assert got.shape == want.shape == (len(rows), y_in.shape[1], 16)
+        real = np.arange(y_in.shape[1]) < y_len[rows][:, None]
+        assert np.array_equal(got[real], want[real])
+
+
+def test_decoder_backward_refuses_a_row_mapped_cache():
+    params = small_params()
+    mem, y_in, _, _, rows, visible = row_mapped_case(params, np.random.default_rng(11))
+    logp, cache = M.decoder_forward(params, mem, y_in, visible, rows)
+    with pytest.raises(ValueError, match="forward-only"):
+        M.decoder_backward(params, cache, np.ones_like(logp), M.zero_grads(params))
 
 
 def test_backward_full_adds_into_given_grads():

@@ -284,6 +284,39 @@ def test_reset_connection_aborts_its_session_quietly(monkeypatch):
         c.close()
 
 
+def test_connections_over_the_cap_are_refused_without_a_thread(monkeypatch):
+    monkeypatch.setattr(S, "MAX_CONNECTIONS", 1)
+    with running(t2t_testset()) as (srv, host, port):
+        threads = []
+        serve = srv.process_request_thread
+
+        def counted(*args):
+            threads.append(args)
+            serve(*args)
+
+        monkeypatch.setattr(srv, "process_request_thread", counted)
+        held = RawClient(host, port)
+        assert held.call({"act": "START", "id": 0})["ok"]
+        busy = RawClient(host, port)
+        assert busy.recv() == {"error": "server busy"}
+        assert busy.file.readline() == b""      # closed
+        busy.close()
+        assert len(threads) == 1
+        held.close()
+
+        def served():   # the slot frees when the held connection's thread ends
+            c = RawClient(host, port)
+            try:
+                return c.call({"act": "START", "id": 1}) == {"ok": True, "id": 1}
+            except OSError:     # refused, and reset before the reply was read
+                return False
+            finally:
+                c.close()
+
+        _wait_for(served)
+        assert len(threads) == 2
+
+
 def test_frames_longer_than_the_limit_are_refused():
     def read_frame(n):
         """A READ frame line of n bytes, newline included."""

@@ -193,6 +193,57 @@ def test_dev_loss_matches_per_sentence_enumeration(cfg):
     assert T.dev_loss(params, pairs, cfg) == pytest.approx(total / tokens, rel=1e-12)
 
 
+def test_dev_loss_refuses_an_empty_dev_set():
+    for cfg in (T.LossConfig(), T.LossConfig(mode="single_k", k=2)):
+        with pytest.raises(ValueError, match="empty dev set"):
+            T.dev_loss(small_params(), [], cfg)
+
+
+def pinned_dev_setup():
+    params = M.init_parameters(
+        M.ModelConfig(src_vocab_size=16, tgt_vocab_size=16, d_model=16, n_heads=2,
+                      n_enc_layers=1, n_dec_layers=2, d_ffn=24), seed=6)
+    rng = np.random.default_rng(9)
+    pairs = [rand_pair(rng, ns=int(rng.integers(1, 13)), nt=int(rng.integers(0, 13)))
+             for _ in range(30)]
+    # |x| * |y| = 24 * 16 paths x positions: more than one no-grad pass holds
+    pairs.append(rand_pair(rng, ns=24, nt=15))
+    assert len(pairs[-1].source) * len(pairs[-1].target) > T._NO_GRAD_POSITIONS
+    return params, pairs
+
+
+@pytest.mark.parametrize("cfg, pinned", [
+    (T.LossConfig(), 3.229386913949886),
+    (T.LossConfig(mode="single_k", k=2), 3.229530516984749),
+    (T.LossConfig(mode="single_k", k=T.INFINITE_K), 3.2337315291854223)])
+def test_dev_loss_reproduces_pinned_values(cfg, pinned):
+    # recorded when every (sentence, k) row ran the whole decoder on its
+    # own copy of the memory, in groups of at most 64 padded positions
+    params, pairs = pinned_dev_setup()
+    assert T.dev_loss(params, pairs, cfg) == pytest.approx(pinned, rel=1e-12)
+
+
+def test_a_sentence_over_the_no_grad_budget_is_scored_in_chunks():
+    params, pairs = pinned_dev_setup()
+    long = pairs[-1]
+    per_k = [T.path_loss(params, long, k) for k in range(1, len(long.source) + 1)]
+    assert T.expected_multi_path_loss(params, long) == pytest.approx(
+        math.fsum(per_k) / len(per_k), rel=1e-12)
+
+
+def test_dev_loss_encodes_each_no_grad_group_once(monkeypatch):
+    params, pairs = pinned_dev_setup()
+    groups = T._length_groups([len(p.target) for p in pairs],
+                              [len(p.source) for p in pairs], T._NO_GRAD_POSITIONS)
+    assert 1 < len(groups) < len(pairs) / 2
+    runs = []
+    encode = M.encoder_forward
+    monkeypatch.setattr(M, "encoder_forward", lambda *a: runs.append(a) or encode(*a))
+    T.dev_loss(params, pairs, T.LossConfig())
+    assert len(runs) == len(groups)
+    assert sum(len(x_model) for _, x_model in runs) == len(pairs)
+
+
 # ---------------------------------------------------------------------------
 # optimizer and schedule
 
