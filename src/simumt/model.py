@@ -13,7 +13,9 @@ on padded rows keeps them out of every gradient.  The encoder is
 unidirectional: every layer applies a causal self-attention
 mask, so encoder output row i depends only on source positions <= i.  That
 makes prefix encodings reusable as the source grows, which is the whole
-point for streaming input.
+point for streaming input.  The weights live in one flat vector
+(`Parameters`), and the backward passes add into gradients laid out the
+same way (`zero_grads`).
 
 Source-finished convention: the model consumes x ++ [EOS].  While the
 source is still streaming, z visible tokens mean attending to encoder
@@ -127,35 +129,45 @@ class Parameters:
     embeddings the output projection reuses the target embedding, so no
     separate tensor exists that could drift apart under optimization.
 
-    Construction copies ``tensors`` (in their order, as float64) and
-    stores the tensors that the streaming step multiplies together side by
-    side in ``blocks`` (see `storage_groups`); ``tensors`` keeps each of
-    their checkpoint names as a view into its block.  An in-place edit of
-    a tensor (``adam_update``'s) therefore shows in its block; rebinding a
-    grouped name to a new array would not.  A group whose names are not
-    all present is left as it is.
+    Construction copies ``tensors`` (in their order, as float64) into one
+    contiguous float64 ``vector`` that starts on a 64-byte boundary
+    (`aligned_zeros`), laid out by `_views`: the tensors that
+    the streaming step multiplies together sit side by side in ``blocks``
+    (see `storage_groups`), each block one contiguous region, and every
+    other tensor is a contiguous region of its own.  ``tensors`` (each
+    checkpoint name) and ``blocks`` are views into ``vector``, so an
+    in-place edit of the vector (``adam_update``'s) shows in both; rebinding
+    a name to a new array would not.  A group whose names are not all
+    present gets no block.  Gradients (`zero_grads`) share the layout.
     """
 
     config: ModelConfig
     tensors: dict[str, np.ndarray]
+    vector: np.ndarray = field(init=False, repr=False)
     blocks: dict[str, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        own = {name: np.array(a, dtype=np.float64) for name, a in self.tensors.items()}
-        self.blocks = {}
-        for block, names in storage_groups(self.config).items():
-            if not all(n in own for n in names):
-                continue
-            b = self.blocks[block] = np.concatenate([own[n] for n in names], axis=-1)
-            at = 0
-            for n in names:
-                width = own[n].shape[-1]
-                own[n] = b[..., at : at + width]
-                at += width
-        self.tensors = own
+        given = self.tensors
+        shapes = {name: np.shape(a) for name, a in given.items()}
+        self.vector = aligned_zeros((sum(math.prod(s) for s in shapes.values()),))
+        self.tensors, self.blocks = _views(self.config, shapes, self.vector)
+        for name, a in given.items():
+            self.tensors[name][...] = a
+
+    def _over(self, vector: np.ndarray) -> "Parameters":
+        """Parameters of this config and layout whose views read ``vector``
+        (built without the constructor, which would copy every tensor)."""
+        out = object.__new__(Parameters)
+        out.config, out.vector = self.config, vector
+        shapes = {name: t.shape for name, t in self.tensors.items()}
+        out.tensors, out.blocks = _views(self.config, shapes, vector)
+        return out
 
     def copy(self) -> "Parameters":
-        return Parameters(self.config, self.tensors)
+        """An independent copy: the vector is copied once."""
+        vector = aligned_zeros(self.vector.shape)
+        vector[:] = self.vector
+        return self._over(vector)
 
     def n_params(self) -> int:
         return sum(int(t.size) for t in self.tensors.values())
@@ -171,6 +183,23 @@ class Parameters:
     @property
     def out_proj_name(self) -> str:
         return self.tgt_embed_name if self.config.tie_decoder_embeddings else "out_proj"
+
+
+def aligned_zeros(shape: tuple[int, ...]) -> np.ndarray:
+    """float64 zeros whose first element starts a 64-byte cache line.
+
+    With glibc, numpy 2.4's large buffers start 16 bytes into a line, and
+    on a Xeon core an elementwise product of two such (16384,) vectors
+    took 6.8 us against 3.1 us aligned.  The zeros are written, not left
+    to ``calloc``: a large calloc'd buffer maps the kernel's zero page, so
+    an in-place update (``+=``) of it faulted twice per page, on the read
+    and again on the write."""
+    n = math.prod(shape)
+    buf = np.empty(n + 7)
+    start = (-buf.ctypes.data % 64) // 8
+    out = buf[start : start + n]
+    out.fill(0.0)
+    return out.reshape(shape)
 
 
 def _glorot(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
@@ -244,6 +273,40 @@ def storage_groups(config: ModelConfig) -> dict[str, tuple[str, ...]]:
     return groups
 
 
+def _views(config: ModelConfig, shapes: dict[str, tuple[int, ...]], vector: np.ndarray):
+    """The one storage layout: (tensors, blocks) as views into ``vector``.
+
+    Tensors follow the order of ``shapes``.  Each `storage_groups` block
+    whose names are all present is one contiguous region, placed where
+    its first member comes, and holds its members side by side along the
+    last axis; every other tensor is a contiguous region of its own."""
+    member_of = {}
+    for block, names in storage_groups(config).items():
+        if all(n in shapes for n in names):
+            if len({shapes[n][:-1] for n in names}) != 1:
+                raise ValueError(f"tensors of block {block} differ in leading shape")
+            member_of.update((n, (block, names)) for n in names)
+    tensors, blocks = {}, {}
+    at = 0
+    for name, shape in shapes.items():
+        block, names = member_of.get(name, (None, ()))
+        if block in blocks:
+            continue  # laid out with the block's first member
+        if block is None:
+            size = math.prod(shape)
+            tensors[name] = vector[at : at + size].reshape(shape)
+        else:
+            bshape = shape[:-1] + (sum(shapes[n][-1] for n in names),)
+            size = math.prod(bshape)
+            b = blocks[block] = vector[at : at + size].reshape(bshape)
+            col = 0
+            for n in names:
+                tensors[n] = b[..., col : col + shapes[n][-1]]
+                col += shapes[n][-1]
+        at += size
+    return {name: tensors[name] for name in shapes}, blocks
+
+
 def init_parameters(config: ModelConfig, seed: int) -> Parameters:
     """Fresh weights; identical (config, seed) gives identical tensors.
 
@@ -263,8 +326,11 @@ def init_parameters(config: ModelConfig, seed: int) -> Parameters:
     return Parameters(config, t)
 
 
-def zero_grads(params: Parameters) -> dict[str, np.ndarray]:
-    return {k: np.zeros_like(v) for k, v in params.tensors.items()}
+def zero_grads(params: Parameters) -> Parameters:
+    """Zero gradients in the layout of ``params``, built with one
+    allocation: the gradient of each tensor and block is the view of the
+    same name, and all of them live in ``.vector``."""
+    return params._over(aligned_zeros(params.vector.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -392,15 +458,26 @@ def attention(params: Parameters, prefix: str, q_in: np.ndarray, kv_in: np.ndarr
     return out, cache
 
 
-def attention_backward(params: Parameters, dout: np.ndarray, cache,
-                       grads: dict[str, np.ndarray]):
+def attention_backward(params: Parameters, dout: np.ndarray, cache, grads: Parameters):
+    """Add the gradients of ``attention`` into ``grads`` and return
+    (dq_in, dkv_in, dkv).
+
+    A self-attention (the same rows as queries, keys and values) adds its
+    q|k|v weight and bias gradients into the ``wqkv``/``bqkv`` blocks with
+    one product and one row sum, and returns dkv None.  A cross-attention
+    adds those of ``wq``/``bq`` only and returns its key|value output
+    gradients as (rows, 2d) ``dkv``; ``decoder_backward`` adds every
+    layer's into the shared ``dec.cross_attn`` blocks at once.  Column
+    blocks of one product equal the separate products on OpenBLAS for the
+    desk width (d_model 64); at d_model 32 with 385 rows or more they can
+    differ in the last bits."""
     q_in, kv_in, qh, kh, vh, p, a, prefix = cache
-    t = params.tensors
+    t, g = params.tensors, grads.tensors
     h = params.config.n_heads
     scale = 1.0 / math.sqrt(params.config.head_dim)
 
-    grads[f"{prefix}.wo"] += _rows(a).T @ _rows(dout)
-    grads[f"{prefix}.bo"] += _rows(dout).sum(axis=0)
+    g[f"{prefix}.wo"] += _rows(a).T @ _rows(dout)
+    g[f"{prefix}.bo"] += _rows(dout).sum(axis=0)
     da = dout @ t[f"{prefix}.wo"].T
     dah = _split_heads(da, h)
 
@@ -412,16 +489,18 @@ def attention_backward(params: Parameters, dout: np.ndarray, cache,
     dkh = dscores.swapaxes(-1, -2) @ qh
 
     dq, dk, dv = _merge_heads(dqh), _merge_heads(dkh), _merge_heads(dvh)
-    q_rows, kv_rows = _rows(q_in).T, _rows(kv_in).T
-    grads[f"{prefix}.wq"] += q_rows @ _rows(dq)
-    grads[f"{prefix}.bq"] += _rows(dq).sum(axis=0)
-    grads[f"{prefix}.wk"] += kv_rows @ _rows(dk)
-    grads[f"{prefix}.bk"] += _rows(dk).sum(axis=0)
-    grads[f"{prefix}.wv"] += kv_rows @ _rows(dv)
-    grads[f"{prefix}.bv"] += _rows(dv).sum(axis=0)
+    if kv_in is q_in:
+        dqkv = np.concatenate((_rows(dq), _rows(dk), _rows(dv)), axis=1)
+        grads.blocks[f"{prefix}.wqkv"] += _rows(q_in).T @ dqkv
+        grads.blocks[f"{prefix}.bqkv"] += dqkv.sum(axis=0)
+        dkv = None
+    else:
+        g[f"{prefix}.wq"] += _rows(q_in).T @ _rows(dq)
+        g[f"{prefix}.bq"] += _rows(dq).sum(axis=0)
+        dkv = np.concatenate((_rows(dk), _rows(dv)), axis=1)
     dq_in = dq @ t[f"{prefix}.wq"].T
     dkv_in = dk @ t[f"{prefix}.wk"].T + dv @ t[f"{prefix}.wv"].T
-    return dq_in, dkv_in
+    return dq_in, dkv_in, dkv
 
 
 def ffn(params: Parameters, prefix: str, x: np.ndarray):
@@ -432,16 +511,15 @@ def ffn(params: Parameters, prefix: str, x: np.ndarray):
     return out, (x, h1, r, prefix)
 
 
-def ffn_backward(params: Parameters, dout: np.ndarray, cache,
-                 grads: dict[str, np.ndarray]) -> np.ndarray:
+def ffn_backward(params: Parameters, dout: np.ndarray, cache, grads: Parameters) -> np.ndarray:
     x, h1, r, prefix = cache
-    t = params.tensors
-    grads[f"{prefix}.w2"] += _rows(r).T @ _rows(dout)
-    grads[f"{prefix}.b2"] += _rows(dout).sum(axis=0)
+    t, g = params.tensors, grads.tensors
+    g[f"{prefix}.w2"] += _rows(r).T @ _rows(dout)
+    g[f"{prefix}.b2"] += _rows(dout).sum(axis=0)
     dr = dout @ t[f"{prefix}.w2"].T
     dh1 = dr * (h1 > 0.0)
-    grads[f"{prefix}.w1"] += _rows(x).T @ _rows(dh1)
-    grads[f"{prefix}.b1"] += _rows(dh1).sum(axis=0)
+    g[f"{prefix}.w1"] += _rows(x).T @ _rows(dh1)
+    g[f"{prefix}.b1"] += _rows(dh1).sum(axis=0)
     return dh1 @ t[f"{prefix}.w1"].T
 
 
@@ -472,8 +550,8 @@ def _embed(params: Parameters, name: str, ids, start_pos: int) -> np.ndarray:
 
 
 def _embed_backward(params: Parameters, name: str, ids: np.ndarray,
-                    dh: np.ndarray, grads: dict[str, np.ndarray]) -> None:
-    np.add.at(grads[name], ids, dh * math.sqrt(params.config.d_model))
+                    dh: np.ndarray, grads: Parameters) -> None:
+    np.add.at(grads.tensors[name], ids, dh * math.sqrt(params.config.d_model))
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -555,23 +633,23 @@ def encoder_forward(params: Parameters, x_model: np.ndarray):
     return mem, (x_model, layer_caches, lnfc)
 
 
-def encoder_backward(params: Parameters, cache, dmem: np.ndarray,
-                     grads: dict[str, np.ndarray]) -> None:
+def encoder_backward(params: Parameters, cache, dmem: np.ndarray, grads: Parameters) -> None:
     x_model, layer_caches, lnfc = cache
+    g = grads.tensors
     dh, dg, db = layer_norm_backward(dmem, lnfc)
-    grads["enc.final_ln.g"] += dg
-    grads["enc.final_ln.b"] += db
+    g["enc.final_ln.g"] += dg
+    g["enc.final_ln.b"] += db
     for l in reversed(range(params.config.n_enc_layers)):
         ln1c, attc, ln2c, ffnc = layer_caches[l]
         df_in = ffn_backward(params, dh, ffnc, grads)
         dh2, dg, db = layer_norm_backward(df_in, ln2c)
-        grads[f"enc.{l}.ln2.g"] += dg
-        grads[f"enc.{l}.ln2.b"] += db
+        g[f"enc.{l}.ln2.g"] += dg
+        g[f"enc.{l}.ln2.b"] += db
         dh = dh + dh2
-        dq, dkv = attention_backward(params, dh, attc, grads)
+        dq, dkv, _ = attention_backward(params, dh, attc, grads)
         da_in, dg, db = layer_norm_backward(dq + dkv, ln1c)
-        grads[f"enc.{l}.ln1.g"] += dg
-        grads[f"enc.{l}.ln1.b"] += db
+        g[f"enc.{l}.ln1.g"] += dg
+        g[f"enc.{l}.ln1.b"] += db
         dh = dh + da_in
     _embed_backward(params, params.src_embed_name, x_model, dh, grads)
 
@@ -636,38 +714,46 @@ def decoder_forward(params: Parameters, mem: np.ndarray, y_in: np.ndarray,
     return logp, (y_in, layer_caches, lnfc, hf, logp, rows)
 
 
-def decoder_backward(params: Parameters, cache, dlogp: np.ndarray,
-                     grads: dict[str, np.ndarray]) -> np.ndarray:
-    """Returns dmem (gradient wrt encoder memory)."""
+def decoder_backward(params: Parameters, cache, dlogp: np.ndarray, grads: Parameters) -> np.ndarray:
+    """Add the decoder's gradients into ``grads``; returns dmem (gradient
+    wrt encoder memory).  Every layer's cross-attention key|value
+    gradients go into the ``dec.cross_attn`` blocks with one product after
+    the layer loop."""
     y_in, layer_caches, lnfc, hf, logp, rows = cache
     if rows is not None:
         raise ValueError("a row-mapped decoder pass is forward-only")
+    g = grads.tensors
     dlogits = dlogp - np.exp(logp) * dlogp.sum(axis=-1, keepdims=True)
     e_out = params.tensors[params.out_proj_name]
-    grads[params.out_proj_name] += _rows(dlogits).T @ _rows(hf)
+    g[params.out_proj_name] += _rows(dlogits).T @ _rows(hf)
     dhf = dlogits @ e_out
     dh, dg, db = layer_norm_backward(dhf, lnfc)
-    grads["dec.final_ln.g"] += dg
-    grads["dec.final_ln.b"] += db
+    g["dec.final_ln.g"] += dg
+    g["dec.final_ln.b"] += db
     dmem = None
+    cross_dkv = [None] * params.config.n_dec_layers
     for l in reversed(range(params.config.n_dec_layers)):
         ln1c, selfc, ln2c, crossc, ln3c, ffnc = layer_caches[l]
         df_in = ffn_backward(params, dh, ffnc, grads)
         dh3, dg, db = layer_norm_backward(df_in, ln3c)
-        grads[f"dec.{l}.ln3.g"] += dg
-        grads[f"dec.{l}.ln3.b"] += db
+        g[f"dec.{l}.ln3.g"] += dg
+        g[f"dec.{l}.ln3.b"] += db
         dh = dh + dh3
-        dq, dkv = attention_backward(params, dh, crossc, grads)
-        dmem = dkv if dmem is None else dmem + dkv
+        dq, dkv_in, cross_dkv[l] = attention_backward(params, dh, crossc, grads)
+        dmem = dkv_in if dmem is None else dmem + dkv_in
         dc_in, dg, db = layer_norm_backward(dq, ln2c)
-        grads[f"dec.{l}.ln2.g"] += dg
-        grads[f"dec.{l}.ln2.b"] += db
+        g[f"dec.{l}.ln2.g"] += dg
+        g[f"dec.{l}.ln2.b"] += db
         dh = dh + dc_in
-        dq, dkv = attention_backward(params, dh, selfc, grads)
-        da_in, dg, db = layer_norm_backward(dq + dkv, ln1c)
-        grads[f"dec.{l}.ln1.g"] += dg
-        grads[f"dec.{l}.ln1.b"] += db
+        dq, dkv_in, _ = attention_backward(params, dh, selfc, grads)
+        da_in, dg, db = layer_norm_backward(dq + dkv_in, ln1c)
+        g[f"dec.{l}.ln1.g"] += dg
+        g[f"dec.{l}.ln1.b"] += db
         dh = dh + da_in
+    dkv = np.concatenate(cross_dkv, axis=1)
+    mem = crossc[1]  # the kv_in of every cross-attention
+    grads.blocks["dec.cross_attn.wkv"] += _rows(mem).T @ dkv
+    grads.blocks["dec.cross_attn.bkv"] += dkv.sum(axis=0)
     _embed_backward(params, params.tgt_embed_name, y_in, dh, grads)
     return dmem
 
@@ -699,10 +785,10 @@ def forward_full(params: Parameters, x, y_in, path, x_len=None):
 
 
 def backward_full(params: Parameters, cache, dlogp: np.ndarray,
-                  grads: dict[str, np.ndarray] | None = None) -> dict[str, np.ndarray]:
+                  grads: Parameters | None = None) -> Parameters:
     """Add the gradients that ``dlogp`` (shaped like forward_full's
-    logprobs, zero on padded rows) implies into ``grads``, a fresh
-    ``zero_grads`` dict when None, and return it."""
+    logprobs, zero on padded rows) implies into ``grads``, fresh
+    ``zero_grads`` when None, and return it."""
     enc_cache, dec_cache, single = cache
     if grads is None:
         grads = zero_grads(params)

@@ -215,6 +215,23 @@ def test_exit_1_bad_values(workspace, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("lr", ["-0.5", "nan"])
+def test_exit_1_bad_base_lr(workspace, tmp_path, capsys, lr):
+    # a negative rate used to train by gradient ascent (exit 0) and NaN to
+    # diverge (exit 2): both are usage errors
+    assert cli(["train", "--corpus", str(workspace / "corpus.tsv"),
+                "--out-dir", str(tmp_path / "r"), "--epochs", "1", "--n-dev", "50",
+                "--bpe-size", "40", "--base-lr", lr]) == 1
+    assert "base_lr must be positive and finite" in capsys.readouterr().err
+    assert not (tmp_path / "r" / "model.ckpt").exists()
+
+
+def test_exit_1_grad_check_nan_tol(capsys):
+    # tol=nan used to fail every probe and exit 2
+    assert cli(["grad-check", "--probes", "10", "--tol", "nan"]) == 1
+    assert "tol must be positive and finite" in capsys.readouterr().err
+
+
 def test_exit_1_bad_corpus_and_testset_lines(workspace, tmp_path, capsys):
     corpus = tmp_path / "c.jsonl"
     corpus.write_text('{"src": 5, "tgt": "a b"}\n')

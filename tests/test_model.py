@@ -197,12 +197,11 @@ def test_batched_forward_backward_matches_each_sentence():
         one, one_cache = M.forward_full(params, xs[b], ys[b], paths[b])
         assert np.abs(logp[b, :m] - one).max() < 1e-12
         dlogp[b, :m] = rng.normal(size=one.shape)
-        for name, g in M.backward_full(params, one_cache, dlogp[b, :m]).items():
-            want[name] += g
+        want.vector += M.backward_full(params, one_cache, dlogp[b, :m]).vector
     got = M.backward_full(params, cache, dlogp)
-    scale = max(np.abs(g).max() for g in want.values())
-    for name in want:
-        assert np.abs(got[name] - want[name]).max() <= 1e-12 * scale, name
+    scale = np.abs(want.vector).max()
+    for name, g in want.tensors.items():
+        assert np.abs(got.tensors[name] - g).max() <= 1e-12 * scale, name
 
 
 def test_padding_content_is_inert_bitwise():
@@ -219,7 +218,7 @@ def test_padding_content_is_inert_bitwise():
         runs.append((logp[real], M.backward_full(params, cache, dlogp)))
     (lp0, g0), (lp1, g1) = runs
     assert np.array_equal(lp0, lp1)
-    assert all(np.array_equal(g0[name], g1[name]) for name in g0)
+    assert np.array_equal(g0.vector, g1.vector)
 
 
 def row_mapped_case(params, rng):
@@ -264,8 +263,8 @@ def test_backward_full_adds_into_given_grads():
     dlogp = np.ones_like(logp)
     once = M.backward_full(params, cache, dlogp)
     acc = M.backward_full(params, cache, dlogp, M.backward_full(params, cache, dlogp))
-    assert acc.keys() == once.keys()
-    assert all(np.allclose(acc[k], 2 * once[k], rtol=1e-12, atol=1e-15) for k in once)
+    assert acc.tensors.keys() == once.tensors.keys()
+    assert np.allclose(acc.vector, 2 * once.vector, rtol=1e-12, atol=1e-15)
 
 
 def test_encode_prefix_blocks_match_one_shot():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -149,12 +150,11 @@ def test_group_matches_per_sentence_losses_and_grads():
     for pair, k, loss in zip(pairs, ks, losses):
         one, grads = T.path_loss(params, pair, k, want_grads=True)
         assert loss == pytest.approx(one, rel=1e-12)
-        for name, g in grads.items():
-            want[name] += g / len(pairs)
+        want.vector += grads.vector / len(pairs)
     # one tolerance for all tensors: the *.bk grads are analytically zero
-    scale = max(np.abs(g).max() for g in want.values())
-    for name in want:
-        assert np.abs(got[name] / len(pairs) - want[name]).max() <= 1e-12 * scale, name
+    scale = np.abs(want.vector).max()
+    for name, g in want.tensors.items():
+        assert np.abs(got.tensors[name] / len(pairs) - g).max() <= 1e-12 * scale, name
 
 
 def test_budgeted_groups_match_one_group(monkeypatch):
@@ -168,14 +168,15 @@ def test_budgeted_groups_match_one_group(monkeypatch):
     assert len(groups) > 4 and sorted(sum(groups, [])) == list(range(32))
     assert all(len(g) == 1 or len(g) * max(lengths[i] for i in g) <= T._GROUP_POSITIONS
                for g in groups)
-    budgeted = T._batch_grads(params, batch, ks, 0.1)
+    budgeted, whole = M.zero_grads(params), M.zero_grads(params)
+    budgeted_losses = T._batch_grads(params, batch, ks, 0.1, budgeted)
     monkeypatch.setattr(T, "_GROUP_POSITIONS", 10**6)
     assert len(T._length_groups(lengths)) == 1
-    whole = T._batch_grads(params, batch, ks, 0.1)
-    assert np.allclose(budgeted[0], whole[0], rtol=1e-12, atol=0)
-    scale = max(np.abs(g).max() for g in whole[1].values())
-    for name, g in whole[1].items():
-        assert np.abs(budgeted[1][name] - g).max() <= 1e-12 * scale, name
+    whole_losses = T._batch_grads(params, batch, ks, 0.1, whole)
+    assert np.allclose(budgeted_losses, whole_losses, rtol=1e-12, atol=0)
+    scale = np.abs(whole.vector).max()
+    for name, g in whole.tensors.items():
+        assert np.abs(budgeted.tensors[name] - g).max() <= 1e-12 * scale, name
 
 
 @pytest.mark.parametrize("cfg", [T.LossConfig(), T.LossConfig(mode="single_k", k=3)])
@@ -259,6 +260,18 @@ def test_lr_schedule_shape():
         T.lr_at(0, base, warm)
 
 
+@pytest.mark.parametrize("bad", [-0.5, 0.0, math.nan, math.inf])
+def test_base_lr_must_be_positive_and_finite(bad):
+    # a negative rate trains by gradient ascent; NaN must fail the check too
+    with pytest.raises(ValueError, match="base_lr"):
+        T.lr_at(1, bad, 10)
+    params, tr, dev = toy_setup()
+    before = params.vector.copy()
+    with pytest.raises(ValueError, match="base_lr"):
+        T.train(params, tr, dev, T.LossConfig(), epochs=1, seed=0, base_lr=bad)
+    assert np.array_equal(params.vector, before)
+
+
 def test_adam_two_step_scalar_oracle():
     # independent scalar recomputation of two updates with g = 1 each time
     cfg = M.ModelConfig(src_vocab_size=16, tgt_vocab_size=16, d_model=16, n_heads=2)
@@ -286,12 +299,75 @@ def test_adam_rejects_non_finite_and_bad_keys():
     params = M.Parameters(
         config=M.ModelConfig(src_vocab_size=16, tgt_vocab_size=16, d_model=16,
                              n_heads=2),
-        tensors={"w": np.zeros(2)})
+        tensors={"w": np.zeros(2), "u": np.ones((2, 3))})
     opt = T.init_optimizer(params)
-    with pytest.raises(FloatingPointError):
-        T.adam_update(params, {"w": np.array([1.0, np.nan])}, opt)
+    for bad in (np.nan, np.inf, -np.inf):
+        u = np.ones((2, 3))
+        u[1, 2] = bad
+        with pytest.raises(FloatingPointError, match="tensor u"):
+            T.adam_update(params, {"w": np.ones(2), "u": u}, opt)
+        grads = M.zero_grads(params)
+        grads.tensors["u"][...] = u
+        with pytest.raises(FloatingPointError, match="tensor u"):
+            T.adam_update(params, grads, opt)
+    # refused before anything changed
+    assert opt.step == 0 and not opt.m.any() and not opt.v.any()
+    assert np.array_equal(params.tensors["u"], np.ones((2, 3)))
     with pytest.raises(ValueError):
-        T.adam_update(params, {"v": np.zeros(2)}, opt)
+        T.adam_update(params, {"v": np.zeros(2), "u": u}, opt)
+    with pytest.raises(ValueError, match="shape"):
+        T.adam_update(params, {"w": np.zeros(3), "u": u}, opt)
+
+
+def per_tensor_adam(tensors, grads, m, v, step, opt):
+    """The per-tensor Adam step that the chunked update replaced, as the
+    reference: new arrays for every intermediate."""
+    lr = T.lr_at(step, opt.base_lr, opt.warmup_steps)
+    b1, b2 = opt.beta1, opt.beta2
+    for name, g in grads.items():
+        m[name] = b1 * m[name] + (1.0 - b1) * g
+        v[name] = b2 * v[name] + (1.0 - b2) * g * g
+        m_hat = m[name] / (1.0 - b1 ** step)
+        v_hat = v[name] / (1.0 - b2 ** step)
+        tensors[name] = tensors[name] - lr * m_hat / (np.sqrt(v_hat) + opt.adam_eps)
+
+
+@pytest.mark.parametrize("as_mapping", [False, True])
+def test_chunked_adam_equals_per_tensor_formula_bitwise(monkeypatch, as_mapping):
+    # 7-element chunks: "w" spans several, and 50 + 12 is no multiple of 7
+    monkeypatch.setattr(T, "_ADAM_CHUNK", 7)
+    rng = np.random.default_rng(0)
+    cfg = M.ModelConfig(src_vocab_size=16, tgt_vocab_size=16, d_model=16, n_heads=2)
+    params = M.Parameters(cfg, {"w": rng.normal(size=50), "u": rng.normal(size=(3, 4))})
+    opt = T.init_optimizer(params, base_lr=0.3, warmup_steps=2)
+    assert opt.scratch.shape == (2, 7)
+    want = {k: t.copy() for k, t in params.tensors.items()}
+    m = {k: np.zeros_like(t) for k, t in want.items()}
+    v = {k: np.zeros_like(t) for k, t in want.items()}
+    for step in range(1, 5):
+        grads = M.zero_grads(params)
+        grads.vector[:] = rng.normal(size=grads.vector.size) * 10.0 ** rng.integers(-6, 3)
+        per_tensor_adam(want, grads.tensors, m, v, step, opt)
+        T.adam_update(params, dict(grads.tensors) if as_mapping else grads, opt)
+        for name in want:
+            assert np.array_equal(params.tensors[name], want[name]), name
+    assert opt.step == 4
+
+
+def test_adam_step_allocates_nothing_the_size_of_a_tensor():
+    params = M.init_parameters(M.desk_config(40), seed=0)
+    grads = M.zero_grads(params)
+    grads.vector[:] = np.random.default_rng(0).normal(size=grads.vector.size)
+    opt = T.init_optimizer(params)
+    T.adam_update(params, grads, opt)
+    tracemalloc.start()
+    try:
+        T.adam_update(params, grads, opt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the smallest weight matrix alone is 64 x 64 x 8 bytes
+    assert peak < 4096, peak
 
 
 # ---------------------------------------------------------------------------
@@ -315,10 +391,22 @@ def test_grad_check_catches_wrong_gradients():
 
     def broken(p):
         loss, grads = T.path_loss(p, pair, k=2, want_grads=True)
-        return loss, {k: 1.01 * g for k, g in grads.items()}
+        return loss, {k: 1.01 * g for k, g in grads.tensors.items()}
 
     report = T.grad_check(params, broken, n_probes=25, tol=1e-4, seed=0)
     assert not report.passed
+
+
+@pytest.mark.parametrize("bad", [{"tol": math.nan}, {"tol": math.inf}, {"tol": 0.0},
+                                 {"h": math.nan}, {"h": math.inf}, {"h": 0.0}, {"h": -1e-5}])
+def test_grad_check_refuses_bad_tol_and_h(bad):
+    # tol=nan used to pass the tol <= 0 check and then fail every probe
+    def never_called(p):
+        raise AssertionError("grad_check computed before validating")
+
+    kw = {"tol": 1e-4, **bad}
+    with pytest.raises(ValueError, match=next(iter(bad))):
+        T.grad_check(small_params(), never_called, n_probes=5, **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -345,11 +433,23 @@ def test_train_zero_epochs_returns_initial_params():
 
 
 def assert_views_attached(params):
-    """Every grouped tensor is the view of its block at its offset."""
+    """Every tensor and block is a view into the one vector, the tensors
+    cover each of its elements once, and every grouped tensor is the view
+    of its block at its offset."""
+    vec = params.vector
+    assert vec.dtype == np.float64 and vec.flags.c_contiguous
+    assert vec.size == params.n_params()
+    for name, t in list(params.tensors.items()) + list(params.blocks.items()):
+        assert np.shares_memory(t, vec), name
+    probe = params.copy()
+    probe.vector[:] = np.arange(vec.size)
+    covered = np.concatenate([t.ravel() for t in probe.tensors.values()])
+    assert np.array_equal(np.sort(covered), np.arange(vec.size))
     groups = M.storage_groups(params.config)
     assert set(params.blocks) == set(groups)
     for block, names in groups.items():
         b, at = params.blocks[block], 0
+        assert b.flags.c_contiguous, block
         for name in names:
             t, width = params.tensors[name], params.tensors[name].shape[-1]
             assert np.shares_memory(t, b), name
@@ -358,21 +458,71 @@ def assert_views_attached(params):
         assert at == b.shape[-1]
 
 
-def test_grouped_tensors_stay_views_of_their_blocks(tmp_path):
-    # the streaming step multiplies by the blocks, so a tensor that came
-    # loose from its block (a copy, a rebuilt dict) would go stale there
-    params, tr, dev = toy_setup()
+def assert_storage_and_grads_attached(params):
     assert_views_attached(params)
-    assert_views_attached(params.copy())
+    grads = M.zero_grads(params)
+    assert not grads.vector.any() and not np.shares_memory(grads.vector, params.vector)
+    assert_views_attached(grads)
+
+
+def test_grouped_tensors_stay_views_of_their_blocks(tmp_path):
+    # the streaming step multiplies by the blocks and adam_update edits the
+    # vector, so a tensor that came loose (a copy, a rebuilt dict) would go
+    # stale in one of them
+    params, tr, dev = toy_setup()
+    assert_storage_and_grads_attached(params)
+    assert_storage_and_grads_attached(params.copy())
     M.save_checkpoint(params, tmp_path / "m.ckpt")
-    assert_views_attached(M.load_checkpoint(tmp_path / "m.ckpt"))
+    assert_storage_and_grads_attached(M.load_checkpoint(tmp_path / "m.ckpt"))
     before = params.copy()
     res = T.train(params, tr, dev, T.LossConfig(), epochs=1, seed=1,
                   batch_size=8, base_lr=0.2, warmup_steps=50)
     name = "dec.0.cross_attn.wv"
     assert not np.array_equal(params.tensors[name], before.tensors[name])
-    assert_views_attached(params)                   # edited in place by adam_update
-    assert_views_attached(res.params)
+    assert_storage_and_grads_attached(params)       # edited in place by adam_update
+    assert_storage_and_grads_attached(res.params)
+    _, grads = T.path_loss(params, tr[0], 2, want_grads=True)
+    assert_views_attached(grads)
+
+
+def test_copy_is_independent_of_its_source():
+    params = small_params()
+    copy = params.copy()
+    assert not np.shares_memory(copy.vector, params.vector)
+    assert np.array_equal(copy.vector, params.vector)
+    keep = params.vector.copy()
+    copy.tensors["dec.0.self_attn.wk"] += 1.0
+    copy.blocks["dec.cross_attn.bkv"][:] = 7.0
+    assert np.array_equal(params.vector, keep)
+    params.vector[:] = 0.0
+    assert copy.vector.any()
+
+
+def test_train_reuses_one_gradient_buffer(monkeypatch):
+    params, tr, dev = toy_setup()
+    made, stepped = [], []
+    zero_grads, adam_update = M.zero_grads, T.adam_update
+
+    def counting_zero_grads(p):
+        made.append(zero_grads(p))
+        return made[-1]
+
+    def recording_adam(p, grads, state):
+        stepped.append(grads)
+        return adam_update(p, grads, state)
+
+    monkeypatch.setattr(M, "zero_grads", counting_zero_grads)
+    monkeypatch.setattr(T, "adam_update", recording_adam)
+    T.train(params, tr, dev, T.LossConfig(), epochs=2, seed=1, batch_size=8)
+    assert len(made) == 1 and len(stepped) == 2 * math.ceil(len(tr) / 8)
+    assert all(g is made[0] for g in stepped)
+    # path_loss hands out fresh gradients every call, never that buffer
+    _, g1 = T.path_loss(params, tr[0], 2, want_grads=True)
+    _, g2 = T.path_loss(params, tr[0], 2, want_grads=True)
+    assert len(made) == 3
+    assert np.array_equal(g1.vector, g2.vector) and g1.vector.any()
+    for a, b in ((g1, g2), (g1, made[0]), (g2, made[0])):
+        assert not np.shares_memory(a.vector, b.vector)
 
 
 def test_train_runs_and_checkpoints_best_epoch():
