@@ -11,9 +11,8 @@ from .bpe import BpeModel, train_bpe
 from .model import (DecoderState, EncoderState, ModelConfig, Parameters,
                     decode_step, desk_config, encode_prefix,
                     init_parameters, load_checkpoint, save_checkpoint)
-from .training import (INFINITE_K, LossConfig, WaitKPath, grad_check,
-                       label_smoothed_nll, lr_at, multi_path_loss, path_loss,
-                       train, wait_k_z)
+from .training import (INFINITE_K, LossConfig, grad_check, label_smoothed_nll,
+                       lr_at, multi_path_loss, path_loss, train, wait_k_z)
 from .online import (ActionTrace, OnlinePolicy, ReadEvent, WriteEvent,
                      ensemble_logprobs, offline_greedy_decode,
                      online_greedy_decode)
@@ -21,7 +20,7 @@ from .cascade import (AsrSnapshot, CascadeConfig, CascadeMT, EndpointRule,
                       TimedWord, cascade_decode, detect_endpoint,
                       segment_stream)
 from .metrics import (BleuBreakdown, TradeoffRecord, average_lagging_ms,
-                      average_lagging_words, corpus_bleu, sweep)
+                      average_lagging_words, corpus_bleu, sweep_t2t)
 from .normalize import asr_normalize, build_number_lexicon
 from .server import ServerTestset, serve_eval
 

@@ -242,7 +242,7 @@ def _cmd_sweep(args) -> int:
     if args.ensemble and len(args.model) > 1:
         systems.append(metrics.T2TSystem(
             system_id="ensemble", models=_load_models(args.model)))
-    records = metrics.sweep(systems, _parse_k_list(args.k), testset)
+    records = metrics.sweep_t2t(systems, _parse_k_list(args.k), testset)
     header = runconfig.artifact_header(
         {"k": args.k, "models": args.model}, {"testset": args.testset})
     runconfig.emit_plotdata(records, args.out, header)
@@ -252,8 +252,8 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_serve(args) -> int:
     host, _, port = args.bind.rpartition(":")
-    if not host or not port.isdigit():
-        raise UsageError(f"bad --bind {args.bind!r}; use host:port")
+    if not host or not port.isdigit() or int(port) > 65535:
+        raise UsageError(f"bad --bind {args.bind!r}; use host:port, port 0-65535")
     subword = bpe_mod.BpeModel.load(args.bpe)
     text_pairs = corp.load_parallel_text(args.testset)
     testset = server.ServerTestset(

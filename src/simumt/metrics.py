@@ -228,12 +228,3 @@ def sweep_s2t(systems: Sequence[S2TSystem], sz_values: Sequence[float],
             records.append(TradeoffRecord(system.system_id, sz, *score_runs(
                 runs, testset.references, testset.detokenize)))
     return records
-
-
-def sweep(systems, k_values, testset) -> list[TradeoffRecord]:
-    """Dispatch on testset type: text-to-text or speech-to-text."""
-    if isinstance(testset, T2TTestset):
-        return sweep_t2t(systems, k_values, testset)
-    if isinstance(testset, S2TTestset):
-        return sweep_s2t(systems, k_values, testset)
-    raise TypeError(f"unknown testset type {type(testset).__name__}")

@@ -39,11 +39,13 @@ extension no longer copies the history it attends over.  A call that
 handles one row (every ``decode_step``, and ``encode_prefix`` with one new
 token) carries it as a (d,) vector, so its products are vector-matrix and
 ``layer_norm`` takes scalar statistics; outputs are bitwise those of the
-(1, d) form.  Each self-attention projects q, k and v with one product by
-its (d, 3d) block, and new memory rows go into every decoder layer's
-cross-attention keys and values with one product (`storage_groups`).  On
-OpenBLAS the column blocks of such a product equal the separate products
-bit for bit, so the fusion leaves every output unchanged.
+(1, d) form.  Every pass, teacher-forced or streaming, projects through
+the storage blocks (`storage_groups`): each self-attention projects q, k
+and v with one product by its (d, 3d) block, and memory rows go into
+every decoder layer's cross-attention keys and values with one product.
+On OpenBLAS the column blocks of such a product equal the separate
+products bit for bit, so the fusion leaves every output unchanged.  All
+passes share one attention core, `_attend`.
 """
 from __future__ import annotations
 
@@ -132,7 +134,7 @@ class Parameters:
     Construction copies ``tensors`` (in their order, as float64) into one
     contiguous float64 ``vector`` that starts on a 64-byte boundary
     (`aligned_zeros`), laid out by `_views`: the tensors that
-    the streaming step multiplies together sit side by side in ``blocks``
+    every pass multiplies together sit side by side in ``blocks``
     (see `storage_groups`), each block one contiguous region, and every
     other tensor is a contiguous region of its own.  ``tensors`` (each
     checkpoint name) and ``blocks`` are views into ``vector``, so an
@@ -258,8 +260,8 @@ def storage_groups(config: ModelConfig) -> dict[str, tuple[str, ...]]:
     """Block name -> the tensors it holds side by side along the last
     axis: each self-attention's q|k|v weights, (d, 3d), and biases, (3d,);
     and the cross-attention k|v of every decoder layer, layer by layer,
-    (d, n_dec * 2d) and (n_dec * 2d,).  The streaming step projects each
-    group with one product."""
+    (d, n_dec * 2d) and (n_dec * 2d,).  Every pass, teacher-forced or
+    streaming, projects each group with one product."""
     groups = {}
     for stack, n_layers, attn in (("enc", config.n_enc_layers, "attn"),
                                   ("dec", config.n_dec_layers, "self_attn")):
@@ -423,55 +425,56 @@ def visibility_mask(visible: np.ndarray, n: int) -> np.ndarray:
     return np.where(np.arange(n) < np.asarray(visible)[..., None], 0.0, NEG_INF)
 
 
-def _project(params: Parameters, prefix: str, which: str, x: np.ndarray) -> np.ndarray:
-    """Rows of x through an attention block's ``which`` ('q', 'k' or 'v')
-    projection."""
-    t = params.tensors
-    return x @ t[f"{prefix}.w{which}"] + t[f"{prefix}.b{which}"]
-
-
-def attention(params: Parameters, prefix: str, q_in: np.ndarray, kv_in: np.ndarray | None,
-              mask: np.ndarray | None, kv: tuple[np.ndarray, np.ndarray] | None = None):
-    """Multi-head attention of q_in rows over kv_in rows, per sentence;
-    ``mask`` is (m, n), shared by the batch, or (B, m, n).  ``kv``, the
-    key and value heads when the caller has projected them already (the
-    row-mapped decoder), stands in for ``kv_in``; its cache is then good
-    for nothing but the forward pass."""
-    t = params.tensors
-    h = params.config.n_heads
-    scale = 1.0 / math.sqrt(params.config.head_dim)
-    qh = _split_heads(_project(params, prefix, "q", q_in), h)
-    if kv is None:
-        kh = _split_heads(_project(params, prefix, "k", kv_in), h)
-        vh = _split_heads(_project(params, prefix, "v", kv_in), h)
-    else:
-        kh, vh = kv
+def _attend(qh: np.ndarray, kh: np.ndarray, vh: np.ndarray, mask: np.ndarray | None):
+    """The attention core over heads, (..., H, m, d_head) queries against
+    (..., H, n, d_head) keys and values: scaled scores, the additive
+    ``mask`` ((..., m, n), the same for every head), softmax.  Returns
+    (p, p @ vh)."""
     scores = qh @ kh.swapaxes(-1, -2)
-    scores *= scale
+    scores *= 1.0 / math.sqrt(qh.shape[-1])
     if mask is not None:
         scores += mask[..., None, :, :]
     p = _masked_softmax(scores)
-    ah = p @ vh
+    return p, p @ vh
+
+
+def attention(params: Parameters, prefix: str, x: np.ndarray, mask: np.ndarray | None,
+              kv: tuple[np.ndarray, np.ndarray] | None = None):
+    """Multi-head attention of the rows of ``x``, (m, d) or (B, m, d), per
+    sentence; ``mask`` is (m, n), shared by the batch, or (B, m, n).
+    Without ``kv`` it is a self-attention, projecting q|k|v with one
+    product by the ``wqkv``/``bqkv`` block.  ``kv`` holds key and value
+    heads the caller has projected (a cross-attention's come from
+    `_cross_kv_rows`); only the queries are then projected, by ``wq``."""
+    t = params.tensors
+    h = params.config.n_heads
+    if kv is None:
+        d = params.config.d_model
+        qkv = x @ params.blocks[f"{prefix}.wqkv"] + params.blocks[f"{prefix}.bqkv"]
+        qh, kh, vh = (_split_heads(qkv[..., i * d : (i + 1) * d], h) for i in range(3))
+    else:
+        qh = _split_heads(x @ t[f"{prefix}.wq"] + t[f"{prefix}.bq"], h)
+        kh, vh = kv
+    p, ah = _attend(qh, kh, vh, mask)
     a = _merge_heads(ah)
     out = a @ t[f"{prefix}.wo"] + t[f"{prefix}.bo"]
-    cache = (q_in, kv_in, qh, kh, vh, p, a, prefix)
-    return out, cache
+    return out, (x, kv is None, qh, kh, vh, p, a, prefix)
 
 
 def attention_backward(params: Parameters, dout: np.ndarray, cache, grads: Parameters):
     """Add the gradients of ``attention`` into ``grads`` and return
-    (dq_in, dkv_in, dkv).
+    (dq_in, dkv_in, dkv): dkv_in is the gradient of the rows keys and
+    values come from (``x`` itself, or a cross-attention's memory).
 
-    A self-attention (the same rows as queries, keys and values) adds its
-    q|k|v weight and bias gradients into the ``wqkv``/``bqkv`` blocks with
-    one product and one row sum, and returns dkv None.  A cross-attention
-    adds those of ``wq``/``bq`` only and returns its key|value output
-    gradients as (rows, 2d) ``dkv``; ``decoder_backward`` adds every
-    layer's into the shared ``dec.cross_attn`` blocks at once.  Column
-    blocks of one product equal the separate products on OpenBLAS for the
-    desk width (d_model 64); at d_model 32 with 385 rows or more they can
-    differ in the last bits."""
-    q_in, kv_in, qh, kh, vh, p, a, prefix = cache
+    A self-attention adds its q|k|v weight and bias gradients into the
+    ``wqkv``/``bqkv`` blocks with one product and one row sum, and returns
+    dkv None.  A cross-attention adds those of ``wq``/``bq`` only and
+    returns its key|value output gradients as (rows, 2d) ``dkv``;
+    ``decoder_backward`` adds every layer's into the shared
+    ``dec.cross_attn`` blocks at once.  Column blocks of one product equal
+    the separate products on OpenBLAS for the desk width (d_model 64); at
+    d_model 32 with 385 rows or more they can differ in the last bits."""
+    x, self_attention, qh, kh, vh, p, a, prefix = cache
     t, g = params.tensors, grads.tensors
     h = params.config.n_heads
     scale = 1.0 / math.sqrt(params.config.head_dim)
@@ -489,13 +492,13 @@ def attention_backward(params: Parameters, dout: np.ndarray, cache, grads: Param
     dkh = dscores.swapaxes(-1, -2) @ qh
 
     dq, dk, dv = _merge_heads(dqh), _merge_heads(dkh), _merge_heads(dvh)
-    if kv_in is q_in:
+    if self_attention:
         dqkv = np.concatenate((_rows(dq), _rows(dk), _rows(dv)), axis=1)
-        grads.blocks[f"{prefix}.wqkv"] += _rows(q_in).T @ dqkv
+        grads.blocks[f"{prefix}.wqkv"] += _rows(x).T @ dqkv
         grads.blocks[f"{prefix}.bqkv"] += dqkv.sum(axis=0)
         dkv = None
     else:
-        g[f"{prefix}.wq"] += _rows(q_in).T @ _rows(dq)
+        g[f"{prefix}.wq"] += _rows(x).T @ _rows(dq)
         g[f"{prefix}.bq"] += _rows(dq).sum(axis=0)
         dkv = np.concatenate((_rows(dk), _rows(dv)), axis=1)
     dq_in = dq @ t[f"{prefix}.wq"].T
@@ -623,7 +626,7 @@ def encoder_forward(params: Parameters, x_model: np.ndarray):
     layer_caches = []
     for l in range(params.config.n_enc_layers):
         a_in, ln1c = layer_norm(h, params.tensors[f"enc.{l}.ln1.g"], params.tensors[f"enc.{l}.ln1.b"])
-        a_out, attc = attention(params, f"enc.{l}.attn", a_in, a_in, mask)
+        a_out, attc = attention(params, f"enc.{l}.attn", a_in, mask)
         h = h + a_out
         f_in, ln2c = layer_norm(h, params.tensors[f"enc.{l}.ln2.g"], params.tensors[f"enc.{l}.ln2.b"])
         f_out, ffnc = ffn(params, f"enc.{l}.ffn", f_in)
@@ -654,24 +657,27 @@ def encoder_backward(params: Parameters, cache, dmem: np.ndarray, grads: Paramet
     _embed_backward(params, params.src_embed_name, x_model, dh, grads)
 
 
-def _cross_kv_rows(params: Parameters, mem: np.ndarray, rows: np.ndarray):
+def _cross_kv_rows(params: Parameters, mem: np.ndarray, rows: np.ndarray | None = None):
     """Every decoder layer's cross-attention key and value heads over
-    ``mem`` (S, n, d), projected once per sentence (one product by the
-    grouped k|v block) and gathered per row: [layer][0 or 1] is
-    (R, H, n, d_head)."""
+    ``mem``, (n, d) or (S, n, d), with one product by the grouped k|v
+    block: [layer][0 or 1] is (..., H, n, d_head).  ``rows``, (R,),
+    gathers sentences per row after the product: (R, H, n, d_head)."""
     cfg = params.config
     b = params.blocks
     kv = mem @ b["dec.cross_attn.wkv"] + b["dec.cross_attn.bkv"]
-    s, n, _ = mem.shape
-    kv = kv.reshape(s, n, cfg.n_dec_layers, 2, cfg.n_heads, cfg.head_dim)
-    return kv[rows].transpose(2, 3, 0, 4, 1, 5)
+    kv = kv.reshape(mem.shape[:-1] + (cfg.n_dec_layers, 2, cfg.n_heads, cfg.head_dim))
+    if rows is not None:
+        kv = kv[rows]
+    # (..., n, layer, 2, H, d_head) to (layer, 2, ..., H, n, d_head)
+    return np.moveaxis(kv, (-4, -3, -5), (0, 1, -2))
 
 
 def decoder_forward(params: Parameters, mem: np.ndarray, y_in: np.ndarray,
                     visible_model: np.ndarray, rows: np.ndarray | None = None):
     """Teacher-forced decoder over ``mem`` (n, d) or (B, n, d); target row
     t of y_in, (m,) or (B, m), sees the first visible_model[..., t]
-    encoder rows.  Returns (logprobs (m, V) or (B, m, V), cache).
+    encoder rows.  Returns (logprobs (m, V) or (B, m, V), cache).  The
+    cross-attention keys and values come from `_cross_kv_rows`.
 
     ``rows``, (R,), decodes several read paths of the same sentences:
     ``mem`` (S, n, d) and ``y_in`` (S, m) then hold one entry per
@@ -688,20 +694,16 @@ def decoder_forward(params: Parameters, mem: np.ndarray, y_in: np.ndarray,
     h = _embed(params, params.tgt_embed_name, y_in, 0)
     self_mask = causal_mask(m, m)
     cross_mask = visibility_mask(visible_model, mem.shape[-2])
-    cross_kv = None if rows is None else _cross_kv_rows(params, mem, rows)
+    cross_kv = _cross_kv_rows(params, mem, rows)
     layer_caches = []
     for l in range(params.config.n_dec_layers):
         a_in, ln1c = layer_norm(h, params.tensors[f"dec.{l}.ln1.g"], params.tensors[f"dec.{l}.ln1.b"])
-        a_out, selfc = attention(params, f"dec.{l}.self_attn", a_in, a_in, self_mask)
+        a_out, selfc = attention(params, f"dec.{l}.self_attn", a_in, self_mask)
         h = h + a_out
         c_in, ln2c = layer_norm(h, params.tensors[f"dec.{l}.ln2.g"], params.tensors[f"dec.{l}.ln2.b"])
-        if cross_kv is None:
-            c_out, crossc = attention(params, f"dec.{l}.cross_attn", c_in, mem, cross_mask)
-        else:
-            if l == 0:  # the paths differ from here on
-                h, c_in = h[rows], c_in[rows]
-            c_out, crossc = attention(params, f"dec.{l}.cross_attn", c_in, None, cross_mask,
-                                      cross_kv[l])
+        if l == 0 and rows is not None:  # the paths differ from here on
+            h, c_in = h[rows], c_in[rows]
+        c_out, crossc = attention(params, f"dec.{l}.cross_attn", c_in, cross_mask, cross_kv[l])
         h = h + c_out
         f_in, ln3c = layer_norm(h, params.tensors[f"dec.{l}.ln3.g"], params.tensors[f"dec.{l}.ln3.b"])
         f_out, ffnc = ffn(params, f"dec.{l}.ffn", f_in)
@@ -711,7 +713,7 @@ def decoder_forward(params: Parameters, mem: np.ndarray, y_in: np.ndarray,
     e_out = params.tensors[params.out_proj_name]
     logits = hf @ e_out.T
     logp = log_softmax(logits)
-    return logp, (y_in, layer_caches, lnfc, hf, logp, rows)
+    return logp, (y_in, mem, layer_caches, lnfc, hf, logp, rows)
 
 
 def decoder_backward(params: Parameters, cache, dlogp: np.ndarray, grads: Parameters) -> np.ndarray:
@@ -719,7 +721,7 @@ def decoder_backward(params: Parameters, cache, dlogp: np.ndarray, grads: Parame
     wrt encoder memory).  Every layer's cross-attention key|value
     gradients go into the ``dec.cross_attn`` blocks with one product after
     the layer loop."""
-    y_in, layer_caches, lnfc, hf, logp, rows = cache
+    y_in, mem, layer_caches, lnfc, hf, logp, rows = cache
     if rows is not None:
         raise ValueError("a row-mapped decoder pass is forward-only")
     g = grads.tensors
@@ -751,7 +753,6 @@ def decoder_backward(params: Parameters, cache, dlogp: np.ndarray, grads: Parame
         g[f"dec.{l}.ln1.b"] += db
         dh = dh + da_in
     dkv = np.concatenate(cross_dkv, axis=1)
-    mem = crossc[1]  # the kv_in of every cross-attention
     grads.blocks["dec.cross_attn.wkv"] += _rows(mem).T @ dkv
     grads.blocks["dec.cross_attn.bkv"] += dkv.sum(axis=0)
     _embed_backward(params, params.tgt_embed_name, y_in, dh, grads)
@@ -1018,15 +1019,11 @@ def _attend_precomputed(q: np.ndarray, wo, bo, kh: np.ndarray, vh: np.ndarray,
     """Attention of projected queries q, (d,) for one row or (m, d), over
     keys and values already projected and split into heads, (H, n, d_head)
     (the streaming caches), through the output projection; the output has
-    q's shape.  Without a mask every query sees every key."""
+    q's shape.  Without a mask every query sees every key.  Heads are split
+    and merged inline around `_attend`: one sentence needs no batch axis."""
     n_heads, _, dh = kh.shape
-    qh = q.reshape(-1, n_heads, dh).swapaxes(0, 1)
-    scores = qh @ kh.swapaxes(1, 2)
-    scores *= 1.0 / math.sqrt(dh)
-    if mask is not None:
-        scores += mask
-    p = _masked_softmax(scores)
-    return (p @ vh).swapaxes(0, 1).reshape(q.shape) @ wo + bo
+    _, ah = _attend(q.reshape(-1, n_heads, dh).swapaxes(0, 1), kh, vh, mask)
+    return ah.swapaxes(0, 1).reshape(q.shape) @ wo + bo
 
 
 def _ffn_out(x: np.ndarray, w1, b1, w2, b2) -> np.ndarray:

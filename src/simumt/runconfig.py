@@ -34,7 +34,8 @@ def resolve_config(defaults: Mapping, file_values: Mapping | None = None,
     """Later layers win: defaults < config file < flags.
 
     A key in a file or flag layer that is not in ``defaults`` raises
-    ValueError (misspellings must not pass silently).  Flag values of
+    ValueError (misspellings must not pass silently), and so does a value
+    whose type differs from its default's (`_same_type`).  Flag values of
     None mean "not given" and are skipped.
     """
     values = dict(defaults)
@@ -48,9 +49,24 @@ def resolve_config(defaults: Mapping, file_values: Mapping | None = None,
         for k, v in layer.items():
             if tag == PROVENANCE_FLAG and v is None:
                 continue
+            if not _same_type(v, defaults[k]):
+                raise ValueError(f"config {k}={v!r} is not {type(defaults[k]).__name__} "
+                                 f"like its default {defaults[k]!r}")
             values[k] = v
             provenance[k] = tag
     return RunConfig(values=values, provenance=provenance)
+
+
+def _same_type(value, default) -> bool:
+    """Whether ``value`` may replace ``default``: a value of the default's
+    type, except that a float default also takes an int, and a bool is
+    never taken for a number.  A None default takes anything; the code
+    that reads the key checks it."""
+    if default is None:
+        return True
+    if isinstance(default, float) and type(value) is int:
+        return True
+    return type(value) is type(default)
 
 
 def load_config_file(path) -> dict:

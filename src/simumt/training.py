@@ -68,29 +68,10 @@ def wait_k_z(k: float, t: int, src_len: int) -> int:
     return min(k + t - 1, src_len)
 
 
-@dataclass(frozen=True)
-class WaitKPath:
-    """The read path induced by a wait-k policy on a given source length."""
-
-    k: float
-    src_len: int
-
-    def __post_init__(self) -> None:
-        wait_k_z(self.k, 1, self.src_len)  # validates k and src_len
-
-    def z(self, t: int) -> int:
-        return wait_k_z(self.k, t, self.src_len)
-
-    def zs(self, tgt_len: int) -> np.ndarray:
-        """z_1..z_tgt_len."""
-        if self.k == INFINITE_K:
-            return np.full(tgt_len, self.src_len, dtype=np.int64)
-        return np.minimum(np.arange(self.k, self.k + tgt_len, dtype=np.int64), self.src_len)
-
-
 def _wait_k_rows(ks, src_len: int, tgt_len: int) -> np.ndarray:
-    """``WaitKPath(k, src_len).zs(tgt_len)`` for every (validated) k in
-    ``ks``, as one broadcast: (len(ks), tgt_len)."""
+    """``wait_k_z(k, t, src_len)`` for t = 1..tgt_len and every k in
+    ``ks``, which the caller has validated, as one broadcast:
+    (len(ks), tgt_len)."""
     k = np.asarray(ks, dtype=np.float64)[:, None]  # float: k may be infinite
     return np.minimum(k + np.arange(tgt_len), src_len).astype(np.int64)
 
@@ -177,7 +158,8 @@ def _target_rows(targets, ks, src_lens):
     y_in, gold, y_len = _teacher_forcing(targets)
     path = np.zeros_like(gold)
     for row, k, n, m in zip(path, ks, src_lens, y_len):
-        row[:m] = WaitKPath(k, n).zs(m)
+        wait_k_z(k, 1, n)  # validates k
+        row[:m] = _wait_k_rows([k], n, m)[0]
     return y_in, gold, y_len, path
 
 
@@ -344,40 +326,29 @@ def init_optimizer(params: M.Parameters, base_lr: float = 0.05,
                           base_lr=base_lr, warmup_steps=warmup_steps)
 
 
-def _in_layout(params: M.Parameters, grads) -> M.Parameters:
-    """``grads`` as gradients in the layout of ``params``: itself when it
-    is laid out alike (`model.zero_grads`), else a mapping with the same
-    names and shapes, copied into fresh gradients."""
-    if isinstance(grads, M.Parameters):
-        # the layout is a function of the config and the ordered names and shapes
-        if grads.config == params.config and ([(n, t.shape) for n, t in grads.tensors.items()]
-                                              == [(n, t.shape) for n, t in params.tensors.items()]):
-            return grads
-        grads = grads.tensors
-    if set(grads) != set(params.tensors):
-        raise ValueError("gradient keys do not match parameter keys")
-    out = M.zero_grads(params)
-    for name, t in out.tensors.items():
-        if np.shape(grads[name]) != t.shape:
-            raise ValueError(f"gradient for tensor {name} has shape "
-                             f"{np.shape(grads[name])}, expected {t.shape}")
-        t[...] = grads[name]
-    return out
+def _check_layout(params: M.Parameters, grads) -> None:
+    """Refuse with ValueError gradients not laid out like ``params``
+    (`model.zero_grads`): the layout is a function of the config and the
+    ordered tensor names and shapes."""
+    def layout(p):
+        return p.config, [(n, t.shape) for n, t in p.tensors.items()]
+
+    if not isinstance(grads, M.Parameters) or layout(grads) != layout(params):
+        raise ValueError("gradients must be laid out like the parameters (model.zero_grads)")
 
 
 def adam_update(params: M.Parameters, grads, state: OptimizerState):
     """Apply one Adam step with bias correction at the scheduled rate.
 
-    ``grads`` is laid out like ``params`` (`model.zero_grads`), or is a
-    mapping from each tensor name to its gradient, which is first copied
-    into that layout.  Finiteness is checked once over the whole gradient
+    ``grads`` must be laid out like ``params`` (`model.zero_grads`), else
+    ValueError.  Finiteness is checked once over the whole gradient
     vector; only when that check fails are the tensors searched, and a
     non-finite one is named in a FloatingPointError before anything
     changes.  The update then runs the elementwise Adam expressions in
     place over chunks of the flat vectors, into ``state.scratch``, so it
     allocates nothing.  Mutates ``params`` and ``state`` and returns them.
     """
-    grads = _in_layout(params, grads)
+    _check_layout(params, grads)
     g = grads.vector
     if not math.isfinite(g @ g):  # a NaN or an infinity fails it, as can an overflow
         for name, t in grads.tensors.items():
@@ -430,12 +401,13 @@ def grad_check(params: M.Parameters, loss_fn, n_probes: int, tol: float,
                h: float = 1e-5, seed: int = 0) -> GradCheckReport:
     """Compare analytic gradients against central finite differences.
 
-    ``loss_fn(params) -> (loss, grads)``, with grads as ``adam_update``
-    takes them.  Probes ``n_probes`` coordinates sampled without
-    replacement across all tensors.  Relative error is |a - n| /
-    max(|a|, |n|), taken as 0 when both magnitudes are below h^2 (the
-    difference is then below finite-difference noise).  ``tol`` and ``h``
-    must be positive and finite, else ValueError.
+    ``loss_fn(params) -> (loss, grads)``, with grads laid out like
+    ``params`` (`model.zero_grads`), else ValueError.  Probes
+    ``n_probes`` coordinates sampled without replacement across all
+    tensors.  Relative error is |a - n| / max(|a|, |n|), taken as 0 when
+    both magnitudes are below h^2 (the difference is then below
+    finite-difference noise).  ``tol`` and ``h`` must be positive and
+    finite, else ValueError.
     """
     if n_probes < 1:
         raise ValueError("n_probes must be >= 1")
@@ -445,7 +417,7 @@ def grad_check(params: M.Parameters, loss_fn, n_probes: int, tol: float,
     if not 0.0 < h < math.inf:
         raise ValueError(f"h must be positive and finite, got {h!r}")
     _, grads = loss_fn(params)
-    grads = _in_layout(params, grads)
+    _check_layout(params, grads)
     sizes = [(name, int(t.size)) for name, t in params.tensors.items()]
     total = sum(s for _, s in sizes)
     rng = np.random.default_rng(seed)

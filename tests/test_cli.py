@@ -226,6 +226,26 @@ def test_exit_1_bad_base_lr(workspace, tmp_path, capsys, lr):
     assert not (tmp_path / "r" / "model.ckpt").exists()
 
 
+@pytest.mark.parametrize("values", [{"epochs": "2"}, {"batch_size": 2.5}, {"epochs": True}])
+def test_exit_1_config_value_of_the_wrong_type(workspace, tmp_path, capsys, values):
+    # "2" and 2.5 used to end in a TypeError traceback, 2.5 only after BPE
+    # training and model init; true trained one epoch
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(values))
+    assert cli(["train", "--corpus", str(workspace / "corpus.tsv"),
+                "--out-dir", str(tmp_path / "r"), "--config", str(cfg)]) == 1
+    assert f"simumt: config {next(iter(values))}=" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+def test_exit_1_serve_port_out_of_range(workspace, capsys):
+    # a port above 65535 used to reach bind() and end in an OverflowError traceback
+    assert cli(["serve", "--bind", "127.0.0.1:99999",
+                "--bpe", str(workspace / "run" / "bpe.model"),
+                "--testset", str(workspace / "corpus.tsv")]) == 1
+    assert "bad --bind '127.0.0.1:99999'" in capsys.readouterr().err
+
+
 def test_exit_1_grad_check_nan_tol(capsys):
     # tol=nan used to fail every probe and exit 2
     assert cli(["grad-check", "--probes", "10", "--tol", "nan"]) == 1

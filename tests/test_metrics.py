@@ -228,15 +228,6 @@ def test_sweep_s2t_structure():
         assert r.al_ms <= max(s[-1].end_ms for s in streams)
 
 
-def test_sweep_dispatch():
-    params = small_params()
-    t2t = X.T2TTestset(sources=[[4, 5]], references=["4"], detokenize=detok_ids)
-    recs = X.sweep([X.T2TSystem("s", [params])], [1], t2t)
-    assert recs and recs[0].al_ms is None
-    with pytest.raises(TypeError):
-        X.sweep([], [1], object())
-
-
 # ---------------------------------------------------------------------------
 # score_runs
 

@@ -310,6 +310,33 @@ def test_fused_products_equal_separate_products_bitwise(config):
                 at += w.shape[1]
 
 
+def separate_kv(params, prefix, rows):
+    """Key and value heads of ``rows`` through the separate wk/bk and
+    wv/bv tensors, sharing no product with the fused storage blocks."""
+    t = params.tensors
+    return tuple(M._split_heads(rows @ t[f"{prefix}.w{w}"] + t[f"{prefix}.b{w}"],
+                                params.config.n_heads) for w in "kv")
+
+
+@pytest.mark.parametrize("config", [small_params().config, M.desk_config(16)])
+def test_self_attention_through_the_block_equals_separate_projections(config):
+    # a self-attention projects q|k|v with one product by its block; given
+    # key and value heads from the per-tensor wk/bk and wv/bv instead, the
+    # same attention agrees
+    params = M.init_parameters(config, seed=4)
+    rng = np.random.default_rng(6)
+    params.vector += 0.1 * rng.normal(size=params.vector.shape)    # nonzero biases
+    d, m = config.d_model, 7
+    for shape in ((m, d), (3, m, d)):
+        x = rng.normal(size=shape)
+        for mask in (None, M.causal_mask(m, m)):
+            for prefix in ("enc.0.attn", "dec.1.self_attn"):
+                got, _ = M.attention(params, prefix, x, mask)
+                want, _ = M.attention(params, prefix, x, mask, separate_kv(params, prefix, x))
+                assert got.shape == want.shape == shape
+                assert np.abs(got - want).max() < 1e-12
+
+
 def test_encode_prefix_does_not_mutate_input_state():
     params = small_params()
     st1 = M.encode_prefix(params, [4, 5, 6])
@@ -375,16 +402,19 @@ def oracle_step(params, mem, history, prev, visible):
     """A decoder step written from the primitives, with no caches:
     cross-attention runs ``attention`` over the memory sliced to
     ``visible`` and self-attention over every earlier layer input, kept per
-    layer in ``history`` (appended to in place)."""
+    layer in ``history`` (appended to in place).  Keys and values come from
+    `separate_kv`, so the oracle shares no product with the fused blocks."""
     t = params.tensors
     h = M._embed(params, params.tgt_embed_name, np.array([prev]), len(history[0]))
     for l, rows in enumerate(history):
         a_in, _ = M.layer_norm(h, t[f"dec.{l}.ln1.g"], t[f"dec.{l}.ln1.b"])
         rows.append(a_in)
-        a_out, _ = M.attention(params, f"dec.{l}.self_attn", a_in, np.vstack(rows), None)
+        p = f"dec.{l}.self_attn"
+        a_out, _ = M.attention(params, p, a_in, None, separate_kv(params, p, np.vstack(rows)))
         h = h + a_out
         c_in, _ = M.layer_norm(h, t[f"dec.{l}.ln2.g"], t[f"dec.{l}.ln2.b"])
-        c_out, _ = M.attention(params, f"dec.{l}.cross_attn", c_in, mem[:visible], None)
+        p = f"dec.{l}.cross_attn"
+        c_out, _ = M.attention(params, p, c_in, None, separate_kv(params, p, mem[:visible]))
         h = h + c_out
         f_in, _ = M.layer_norm(h, t[f"dec.{l}.ln3.g"], t[f"dec.{l}.ln3.b"])
         f_out, _ = M.ffn(params, f"dec.{l}.ffn", f_in)

@@ -36,6 +36,19 @@ def test_unknown_keys_rejected():
         R.resolve_config(DEFAULTS, flag_values={"modee": "x"})
 
 
+def test_values_must_have_their_defaults_type():
+    defaults = {**DEFAULTS, "k": None}
+    for key, bad in (("epochs", "2"), ("epochs", True), ("epochs", 2.0),
+                     ("mode", 1), ("base_lr", "0.1"), ("base_lr", False)):
+        with pytest.raises(ValueError, match=f"config {key}="):
+            R.resolve_config(defaults, file_values={key: bad})
+        with pytest.raises(ValueError, match=f"config {key}="):
+            R.resolve_config(defaults, flag_values={key: bad})
+    # a float default takes an int; a None default is checked by its reader
+    cfg = R.resolve_config(defaults, file_values={"base_lr": 1, "k": "inf"})
+    assert cfg["base_lr"] == 1 and cfg["k"] == "inf"
+
+
 def test_load_config_file(tmp_path):
     p = tmp_path / "cfg.json"
     p.write_text('{"epochs": 4}')

@@ -47,11 +47,16 @@ def test_wait_k_z_validation():
 
 
 def test_wait_k_path():
-    path = T.WaitKPath(k=2, src_len=4)
-    assert list(path.zs(6)) == [2, 3, 4, 4, 4, 4]
-    assert T.WaitKPath(k=T.INFINITE_K, src_len=4).zs(3).tolist() == [4, 4, 4]
-    with pytest.raises(ValueError):
-        T.WaitKPath(k=0, src_len=4)
+    assert T._wait_k_rows([2], 4, 6).tolist() == [[2, 3, 4, 4, 4, 4]]
+    assert T._wait_k_rows([T.INFINITE_K], 4, 3).tolist() == [[4, 4, 4]]
+    ks = [1, 2, 3, 7, T.INFINITE_K]
+    assert T._wait_k_rows(ks, 5, 9).tolist() == [
+        [T.wait_k_z(k, t, 5) for t in range(1, 10)] for k in ks]
+    # path_loss validates k rather than truncating 2.5 to a wait-2 path
+    pair = rand_pair(np.random.default_rng(0))
+    for k in (0, 2.5):
+        with pytest.raises(ValueError, match="k must be"):
+            T.path_loss(small_params(), pair, k)
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +112,7 @@ def test_path_loss_matches_manual_composition():
     pair = rand_pair(rng)
     k = 2
     y = np.asarray(pair.target)
-    path = T.WaitKPath(k, len(pair.source)).zs(len(y))
+    path = [T.wait_k_z(k, t, len(pair.source)) for t in range(1, len(y) + 1)]
     logp, _ = M.forward_full(params, pair.source, np.r_[[1], y[:-1]], path)
     expect, _ = T.label_smoothed_nll(logp, y, eps=0.1)
     assert T.path_loss(params, pair, k) == pytest.approx(expect, rel=1e-15)
@@ -277,7 +282,8 @@ def test_adam_two_step_scalar_oracle():
     cfg = M.ModelConfig(src_vocab_size=16, tgt_vocab_size=16, d_model=16, n_heads=2)
     params = M.Parameters(config=cfg, tensors={"w": np.array([0.0])})
     opt = T.init_optimizer(params, base_lr=1.0, warmup_steps=1)
-    g = {"w": np.array([1.0])}
+    g = M.zero_grads(params)
+    g.vector[:] = 1.0
 
     b1, b2, eps = 0.9, 0.98, 1e-8
     m = v = 0.0
@@ -296,27 +302,23 @@ def test_adam_two_step_scalar_oracle():
 
 
 def test_adam_rejects_non_finite_and_bad_keys():
-    params = M.Parameters(
-        config=M.ModelConfig(src_vocab_size=16, tgt_vocab_size=16, d_model=16,
-                             n_heads=2),
-        tensors={"w": np.zeros(2), "u": np.ones((2, 3))})
+    cfg = M.ModelConfig(src_vocab_size=16, tgt_vocab_size=16, d_model=16, n_heads=2)
+    params = M.Parameters(config=cfg, tensors={"w": np.zeros(2), "u": np.ones((2, 3))})
     opt = T.init_optimizer(params)
     for bad in (np.nan, np.inf, -np.inf):
-        u = np.ones((2, 3))
-        u[1, 2] = bad
-        with pytest.raises(FloatingPointError, match="tensor u"):
-            T.adam_update(params, {"w": np.ones(2), "u": u}, opt)
         grads = M.zero_grads(params)
-        grads.tensors["u"][...] = u
+        grads.tensors["u"][1, 2] = bad
         with pytest.raises(FloatingPointError, match="tensor u"):
             T.adam_update(params, grads, opt)
+    for other in (M.Parameters(cfg, {"v": np.zeros(2), "u": np.ones((2, 3))}),   # a name
+                  M.Parameters(cfg, {"w": np.zeros(3), "u": np.ones((2, 3))}),   # a shape
+                  M.Parameters(M.desk_config(16), dict(params.tensors)),         # the config
+                  dict(params.tensors)):                                         # no layout
+        with pytest.raises(ValueError, match="laid out like the parameters"):
+            T.adam_update(params, other, opt)
     # refused before anything changed
     assert opt.step == 0 and not opt.m.any() and not opt.v.any()
     assert np.array_equal(params.tensors["u"], np.ones((2, 3)))
-    with pytest.raises(ValueError):
-        T.adam_update(params, {"v": np.zeros(2), "u": u}, opt)
-    with pytest.raises(ValueError, match="shape"):
-        T.adam_update(params, {"w": np.zeros(3), "u": u}, opt)
 
 
 def per_tensor_adam(tensors, grads, m, v, step, opt):
@@ -332,8 +334,7 @@ def per_tensor_adam(tensors, grads, m, v, step, opt):
         tensors[name] = tensors[name] - lr * m_hat / (np.sqrt(v_hat) + opt.adam_eps)
 
 
-@pytest.mark.parametrize("as_mapping", [False, True])
-def test_chunked_adam_equals_per_tensor_formula_bitwise(monkeypatch, as_mapping):
+def test_chunked_adam_equals_per_tensor_formula_bitwise(monkeypatch):
     # 7-element chunks: "w" spans several, and 50 + 12 is no multiple of 7
     monkeypatch.setattr(T, "_ADAM_CHUNK", 7)
     rng = np.random.default_rng(0)
@@ -348,7 +349,7 @@ def test_chunked_adam_equals_per_tensor_formula_bitwise(monkeypatch, as_mapping)
         grads = M.zero_grads(params)
         grads.vector[:] = rng.normal(size=grads.vector.size) * 10.0 ** rng.integers(-6, 3)
         per_tensor_adam(want, grads.tensors, m, v, step, opt)
-        T.adam_update(params, dict(grads.tensors) if as_mapping else grads, opt)
+        T.adam_update(params, grads, opt)
         for name in want:
             assert np.array_equal(params.tensors[name], want[name]), name
     assert opt.step == 4
@@ -391,7 +392,8 @@ def test_grad_check_catches_wrong_gradients():
 
     def broken(p):
         loss, grads = T.path_loss(p, pair, k=2, want_grads=True)
-        return loss, {k: 1.01 * g for k, g in grads.tensors.items()}
+        grads.vector *= 1.01
+        return loss, grads
 
     report = T.grad_check(params, broken, n_probes=25, tol=1e-4, seed=0)
     assert not report.passed
