@@ -347,10 +347,12 @@ def segment_stream(words: Sequence[TimedWord], theta_long: float = 0.65,
     strictly exceeds the active threshold: theta_long seconds normally,
     theta_short once the open segment already holds more than max_words
     words.  Every word lands in exactly one segment, order preserved.
+    A NaN or non-positive threshold raises ValueError.
     """
     if theta_short > theta_long:
         raise ValueError("theta_short must not exceed theta_long")
-    if min(theta_short, theta_long) <= 0 or max_words < 1:
+    # written so that NaN fails too; an infinite threshold never splits
+    if not (theta_short > 0 and theta_long > 0) or max_words < 1:
         raise ValueError("thresholds must be positive and max_words >= 1")
     words = list(words)
     validate_stream(words)

@@ -126,8 +126,10 @@ def gen_toy_corpus(seed: int, n_pairs: int, task: str) -> list[SentencePair]:
     digit_to_word: digit tokens map to their English words, in order.
 
     Sequence lengths are uniform on [2, 12]; same (seed, n_pairs, task)
-    always yields the same list.
+    always yields the same list.  ``n_pairs`` below 1 raises ValueError.
     """
+    if n_pairs < 1:
+        raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
     vocab = toy_vocabulary(task)
     rng = np.random.default_rng(seed)
     if task == "digit_to_word":

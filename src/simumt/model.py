@@ -15,7 +15,10 @@ mask, so encoder output row i depends only on source positions <= i.  That
 makes prefix encodings reusable as the source grows, which is the whole
 point for streaming input.  The weights live in one flat vector
 (`Parameters`), and the backward passes add into gradients laid out the
-same way (`zero_grads`).
+same way (`zero_grads`).  The batched primitives add each bias and
+residual in place into the array the product or the embedding just made,
+so ``x @ W + b`` costs one temporary, not two; an array a backward cache
+keeps is never written after it is cached.
 
 Source-finished convention: the model consumes x ++ [EOS].  While the
 source is still streaming, z visible tokens mean attending to encoder
@@ -363,7 +366,9 @@ def layer_norm(x: np.ndarray, g: np.ndarray, b: np.ndarray):
         var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / n
         inv = 1.0 / np.sqrt(var + _LN_EPS)
     xhat = xc * inv
-    return xhat * g + b, (xhat, inv, g)
+    y = xhat * g
+    y += b
+    return y, (xhat, inv, g)
 
 
 def _rows(x: np.ndarray) -> np.ndarray:
@@ -450,14 +455,18 @@ def attention(params: Parameters, prefix: str, x: np.ndarray, mask: np.ndarray |
     h = params.config.n_heads
     if kv is None:
         d = params.config.d_model
-        qkv = x @ params.blocks[f"{prefix}.wqkv"] + params.blocks[f"{prefix}.bqkv"]
+        qkv = x @ params.blocks[f"{prefix}.wqkv"]
+        qkv += params.blocks[f"{prefix}.bqkv"]
         qh, kh, vh = (_split_heads(qkv[..., i * d : (i + 1) * d], h) for i in range(3))
     else:
-        qh = _split_heads(x @ t[f"{prefix}.wq"] + t[f"{prefix}.bq"], h)
+        q = x @ t[f"{prefix}.wq"]
+        q += t[f"{prefix}.bq"]
+        qh = _split_heads(q, h)
         kh, vh = kv
     p, ah = _attend(qh, kh, vh, mask)
     a = _merge_heads(ah)
-    out = a @ t[f"{prefix}.wo"] + t[f"{prefix}.bo"]
+    out = a @ t[f"{prefix}.wo"]
+    out += t[f"{prefix}.bo"]
     return out, (x, kv is None, qh, kh, vh, p, a, prefix)
 
 
@@ -508,9 +517,11 @@ def attention_backward(params: Parameters, dout: np.ndarray, cache, grads: Param
 
 def ffn(params: Parameters, prefix: str, x: np.ndarray):
     t = params.tensors
-    h1 = x @ t[f"{prefix}.w1"] + t[f"{prefix}.b1"]
+    h1 = x @ t[f"{prefix}.w1"]
+    h1 += t[f"{prefix}.b1"]
     r = np.maximum(h1, 0.0)
-    out = r @ t[f"{prefix}.w2"] + t[f"{prefix}.b2"]
+    out = r @ t[f"{prefix}.w2"]
+    out += t[f"{prefix}.b2"]
     return out, (x, h1, r, prefix)
 
 
@@ -627,10 +638,10 @@ def encoder_forward(params: Parameters, x_model: np.ndarray):
     for l in range(params.config.n_enc_layers):
         a_in, ln1c = layer_norm(h, params.tensors[f"enc.{l}.ln1.g"], params.tensors[f"enc.{l}.ln1.b"])
         a_out, attc = attention(params, f"enc.{l}.attn", a_in, mask)
-        h = h + a_out
+        h += a_out
         f_in, ln2c = layer_norm(h, params.tensors[f"enc.{l}.ln2.g"], params.tensors[f"enc.{l}.ln2.b"])
         f_out, ffnc = ffn(params, f"enc.{l}.ffn", f_in)
-        h = h + f_out
+        h += f_out
         layer_caches.append((ln1c, attc, ln2c, ffnc))
     mem, lnfc = layer_norm(h, params.tensors["enc.final_ln.g"], params.tensors["enc.final_ln.b"])
     return mem, (x_model, layer_caches, lnfc)
@@ -686,7 +697,9 @@ def decoder_forward(params: Parameters, mem: np.ndarray, y_in: np.ndarray,
     sentence: the target embedding, the first layer up to its
     cross-attention (teacher forcing feeds every path the same y_in, and
     visibility enters only there), and every layer's cross-attention keys
-    and values.  A row-mapped cache is forward-only; ``decoder_backward``
+    and values.  A row-mapped pass is forward-only and keeps no
+    activations: each layer's arrays are freed once the next layer has
+    used them, its cache is ``(rows,)`` alone, and ``decoder_backward``
     refuses it.
     """
     y_in = np.asarray(y_in, dtype=np.int64)
@@ -699,21 +712,24 @@ def decoder_forward(params: Parameters, mem: np.ndarray, y_in: np.ndarray,
     for l in range(params.config.n_dec_layers):
         a_in, ln1c = layer_norm(h, params.tensors[f"dec.{l}.ln1.g"], params.tensors[f"dec.{l}.ln1.b"])
         a_out, selfc = attention(params, f"dec.{l}.self_attn", a_in, self_mask)
-        h = h + a_out
+        h += a_out
         c_in, ln2c = layer_norm(h, params.tensors[f"dec.{l}.ln2.g"], params.tensors[f"dec.{l}.ln2.b"])
         if l == 0 and rows is not None:  # the paths differ from here on
             h, c_in = h[rows], c_in[rows]
         c_out, crossc = attention(params, f"dec.{l}.cross_attn", c_in, cross_mask, cross_kv[l])
-        h = h + c_out
+        h += c_out
         f_in, ln3c = layer_norm(h, params.tensors[f"dec.{l}.ln3.g"], params.tensors[f"dec.{l}.ln3.b"])
         f_out, ffnc = ffn(params, f"dec.{l}.ffn", f_in)
-        h = h + f_out
-        layer_caches.append((ln1c, selfc, ln2c, crossc, ln3c, ffnc))
+        h += f_out
+        if rows is None:
+            layer_caches.append((ln1c, selfc, ln2c, crossc, ln3c, ffnc))
     hf, lnfc = layer_norm(h, params.tensors["dec.final_ln.g"], params.tensors["dec.final_ln.b"])
     e_out = params.tensors[params.out_proj_name]
     logits = hf @ e_out.T
     logp = log_softmax(logits)
-    return logp, (y_in, mem, layer_caches, lnfc, hf, logp, rows)
+    if rows is not None:
+        return logp, (rows,)
+    return logp, (y_in, mem, layer_caches, lnfc, hf, logp)
 
 
 def decoder_backward(params: Parameters, cache, dlogp: np.ndarray, grads: Parameters) -> np.ndarray:
@@ -721,9 +737,9 @@ def decoder_backward(params: Parameters, cache, dlogp: np.ndarray, grads: Parame
     wrt encoder memory).  Every layer's cross-attention key|value
     gradients go into the ``dec.cross_attn`` blocks with one product after
     the layer loop."""
-    y_in, mem, layer_caches, lnfc, hf, logp, rows = cache
-    if rows is not None:
+    if len(cache) == 1:
         raise ValueError("a row-mapped decoder pass is forward-only")
+    y_in, mem, layer_caches, lnfc, hf, logp = cache
     g = grads.tensors
     dlogits = dlogp - np.exp(logp) * dlogp.sum(axis=-1, keepdims=True)
     e_out = params.tensors[params.out_proj_name]

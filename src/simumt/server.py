@@ -297,7 +297,9 @@ class EvalServer(socketserver.ThreadingTCPServer):
     # -- lifecycle ---------------------------------------------------------
 
     def start_background(self) -> None:
-        self._thread = threading.Thread(target=self.serve_forever, daemon=True)
+        # a short poll lets stop() return within 0.05 s, not serve_forever's 0.5 s
+        self._thread = threading.Thread(target=self.serve_forever, kwargs={"poll_interval": 0.05},
+                                        daemon=True)
         self._thread.start()
 
     def stop(self) -> None:

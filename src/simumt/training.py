@@ -15,14 +15,16 @@ Sentences are computed in groups, as padded batches (see ``model``): a
 mini-batch is sorted by target length and cut into groups of at most
 ``_GROUP_POSITIONS`` padded target positions, each one forward and one
 backward pass.  The enumerated objective (``expected_multi_path_loss``,
-the multi-path ``dev_loss``) keeps no activations, so it runs under the
+the multi-path ``dev_loss``) needs no backward pass, so it runs under the
 larger ``_NO_GRAD_POSITIONS`` budget on rows x target length.  It encodes
 each group of sentences once and decodes all |x| wait-k paths of a
 sentence as rows of one row-mapped ``decoder_forward``, which computes
 once per sentence all the decoder work that no path changes: the first
 layer up to its cross-attention, and every layer's cross-attention keys
-and values (Elbayad et al. 2020, efficient multi-path wait-k).  A single
-sentence is a group of one.
+and values (Elbayad et al. 2020, efficient multi-path wait-k).  That pass
+keeps no activations: each layer's arrays are freed as soon as the next
+layer has used them, so a larger group costs little memory and few page
+faults.  A single sentence is a group of one.
 """
 from __future__ import annotations
 
@@ -43,10 +45,17 @@ INFINITE_K = math.inf
 _GROUP_POSITIONS = 64
 # the same budget for passes without a backward (the dev loss): they keep
 # no activations, so larger groups and decoder chunks cost little memory and
-# spread per-call overhead over more rows.  Timing the benchmark's dev set
-# at budgets from 64 to 2048 put the optimum at 256 (30 ms, against 46 at 64
-# and 35-37 at 512-1024, where temporaries outgrow the caches)
-_NO_GRAD_POSITIONS = 256
+# spread per-call overhead over more rows.  Median ms of 12 standalone
+# dev_loss calls on the benchmark's seed-5 dev set, each after a train call
+# (one BLAS thread, 2-core Xeon VM), before and after the row-mapped decoder
+# stopped keeping activations and the batched code stopped making a second
+# temporary per `x @ W + b`:
+#   budget            256   384   512   768
+#   kept activations  28.4  25.3  26.9  31.4
+#   freed as it goes  26.8  24.1  22.9  29.1
+# Past 512, temporaries outgrow what the allocator keeps and every call
+# page-faults (about 6,000 minor faults at 768, none at 512)
+_NO_GRAD_POSITIONS = 512
 # elements per chunk of the in-place Adam: the chunk's slices of the parameter,
 # gradient and moment vectors and the two scratch rows, 6 x 256 KiB, stay in a
 # 2 MiB L2 cache.  On the desk model (170,240 values, one core of a Xeon with

@@ -422,6 +422,20 @@ def test_segment_validation_and_empty():
         C.segment_stream([], max_words=0)
 
 
+@pytest.mark.parametrize("thresholds", [
+    {"theta_long": math.nan}, {"theta_short": math.nan},
+    {"theta_long": math.nan, "theta_short": math.nan}])
+def test_segment_stream_refuses_nan_thresholds(thresholds):
+    with pytest.raises(ValueError, match="thresholds must be positive"):
+        C.segment_stream([C.TimedWord("a", 0, 100)], **thresholds)
+
+
+def test_segment_stream_accepts_infinite_thresholds():
+    words = [C.TimedWord("a", 0, 100), C.TimedWord("b", 5000, 100)]
+    assert len(C.segment_stream(words, theta_long=math.inf)) == 1
+    assert len(C.segment_stream(words, theta_long=math.inf, theta_short=math.inf)) == 1
+
+
 # ---------------------------------------------------------------------------
 # files
 

@@ -138,6 +138,22 @@ def test_segment_command(workspace, tmp_path):
     assert [r[3] for r in rows] == ["0", "0", "1", "2"]
 
 
+@pytest.mark.parametrize("flag", ["--theta-long", "--theta-short"])
+def test_segment_refuses_a_nan_threshold(workspace, tmp_path, flag):
+    out = tmp_path / "segments.tsv"
+    assert cli(["segment", "--input", str(workspace / "stream.tsv"),
+                "--out", str(out), flag, "nan"]) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n_pairs", ["0", "-5"])
+def test_gen_data_refuses_fewer_than_one_pair(tmp_path, n_pairs):
+    out = tmp_path / "pairs.tsv"
+    assert cli(["gen-data", "--task", "copy", "--n-pairs", n_pairs,
+                "--out", str(out)]) == 1
+    assert not out.exists()
+
+
 def test_sweep_command(workspace, tmp_path):
     run = workspace / "run"
     out = tmp_path / "plot.csv"

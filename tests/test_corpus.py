@@ -98,6 +98,12 @@ def test_unknown_task():
         C.toy_vocabulary("reverse")
 
 
+@pytest.mark.parametrize("n_pairs", [0, -5])
+def test_gen_toy_corpus_refuses_fewer_than_one_pair(n_pairs):
+    with pytest.raises(ValueError, match="n_pairs must be >= 1"):
+        C.gen_toy_corpus(seed=0, n_pairs=n_pairs, task="copy")
+
+
 def test_split_corpus():
     pairs = C.gen_toy_corpus(seed=0, n_pairs=10, task="copy")
     tr, dev = C.split_corpus(pairs, 3)

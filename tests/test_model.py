@@ -248,12 +248,60 @@ def test_row_mapped_decoder_equals_a_row_per_path_bitwise():
         assert np.array_equal(got[real], want[real])
 
 
+def _arrays_in(obj):
+    """Every ndarray reachable through tuples and lists from ``obj``."""
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, (tuple, list)):
+        return [a for item in obj for a in _arrays_in(item)]
+    return []
+
+
 def test_decoder_backward_refuses_a_row_mapped_cache():
     params = small_params()
     mem, y_in, _, _, rows, visible = row_mapped_case(params, np.random.default_rng(11))
     logp, cache = M.decoder_forward(params, mem, y_in, visible, rows)
+    # a row-mapped pass keeps no activations: its cache holds the row map alone
+    kept = _arrays_in(cache)
+    assert len(kept) == 1 and np.array_equal(kept[0], rows)
     with pytest.raises(ValueError, match="forward-only"):
         M.decoder_backward(params, cache, np.ones_like(logp), M.zero_grads(params))
+    # a plain pass keeps every layer's activations for its backward
+    _, plain = M.decoder_forward(params, mem[rows], y_in[rows], visible)
+    assert len(_arrays_in(plain)) > 10 * params.config.n_dec_layers
+
+
+@pytest.mark.parametrize("config", [small_params().config, M.desk_config(16)])
+def test_batched_primitives_equal_their_two_temporary_forms_bitwise(config):
+    # attention and ffn add each bias into the array the product just made;
+    # that is bitwise the `x @ w + b` it replaces (layer_norm's affine step:
+    # test_layer_norm_is_bitwise_the_two_call_form)
+    params = M.init_parameters(config, seed=5)
+    rng = np.random.default_rng(8)
+    params.vector += 0.1 * rng.normal(size=params.vector.shape)    # nonzero biases
+    t, blocks = params.tensors, params.blocks
+    d, h, m, n = config.d_model, config.n_heads, 7, 9
+    for batch in ((), (3,)):
+        x = rng.normal(size=batch + (m, d))
+        prefix = "enc.0.attn"
+        out, (_, _, qh, kh, vh, _, a, _) = M.attention(params, prefix, x, M.causal_mask(m, m))
+        qkv = x @ blocks[f"{prefix}.wqkv"] + blocks[f"{prefix}.bqkv"]
+        for i, heads in enumerate((qh, kh, vh)):
+            assert np.array_equal(heads, M._split_heads(qkv[..., i * d : (i + 1) * d], h))
+        assert np.array_equal(out, a @ t[f"{prefix}.wo"] + t[f"{prefix}.bo"])
+
+        prefix = "dec.1.cross_attn"
+        kv = separate_kv(params, prefix, rng.normal(size=batch + (n, d)))
+        mask = M.visibility_mask(rng.integers(1, n + 1, size=batch + (m,)), n)
+        out, (_, _, qh, _, _, _, a, _) = M.attention(params, prefix, x, mask, kv)
+        assert np.array_equal(qh, M._split_heads(x @ t[f"{prefix}.wq"] + t[f"{prefix}.bq"], h))
+        assert np.array_equal(out, a @ t[f"{prefix}.wo"] + t[f"{prefix}.bo"])
+
+        prefix = "dec.0.ffn"
+        out, (_, h1, r, _) = M.ffn(params, prefix, x)
+        assert np.array_equal(h1, x @ t[f"{prefix}.w1"] + t[f"{prefix}.b1"])
+        assert np.array_equal(r, np.maximum(h1, 0.0))
+        assert np.array_equal(out, r @ t[f"{prefix}.w2"] + t[f"{prefix}.b2"])
 
 
 def test_backward_full_adds_into_given_grads():

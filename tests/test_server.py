@@ -70,6 +70,15 @@ def running(testset):
         srv.stop()
 
 
+def test_stop_returns_promptly():
+    srv = S.serve_eval("127.0.0.1", 0, t2t_testset())
+    srv.start_background()
+    time.sleep(0.1)                     # serve_forever is waiting in its poll
+    t0 = time.perf_counter()
+    srv.stop()
+    assert time.perf_counter() - t0 < 0.25
+
+
 def t2t_testset():
     return S.ServerTestset(mode="t2t",
                            sources=[["a", "b", "c"], ["d", "e"]],

@@ -212,29 +212,42 @@ def pinned_dev_setup():
     rng = np.random.default_rng(9)
     pairs = [rand_pair(rng, ns=int(rng.integers(1, 13)), nt=int(rng.integers(0, 13)))
              for _ in range(30)]
-    # |x| * |y| = 24 * 16 paths x positions: more than one no-grad pass holds
+    # 24 paths x 16 target positions: more rows than every other sentence
     pairs.append(rand_pair(rng, ns=24, nt=15))
-    assert len(pairs[-1].source) * len(pairs[-1].target) > T._NO_GRAD_POSITIONS
     return params, pairs
 
 
+@pytest.mark.parametrize("budget", [64, 256, T._NO_GRAD_POSITIONS])
 @pytest.mark.parametrize("cfg, pinned", [
     (T.LossConfig(), 3.229386913949886),
     (T.LossConfig(mode="single_k", k=2), 3.229530516984749),
     (T.LossConfig(mode="single_k", k=T.INFINITE_K), 3.2337315291854223)])
-def test_dev_loss_reproduces_pinned_values(cfg, pinned):
+def test_dev_loss_reproduces_pinned_values(cfg, pinned, budget, monkeypatch):
     # recorded when every (sentence, k) row ran the whole decoder on its
-    # own copy of the memory, in groups of at most 64 padded positions
+    # own copy of the memory, in groups of at most 64 padded positions.
+    # Each budget cuts the groups and decoder chunks differently, and
+    # gives the default budget's float exactly
     params, pairs = pinned_dev_setup()
-    assert T.dev_loss(params, pairs, cfg) == pytest.approx(pinned, rel=1e-12)
+    default = T.dev_loss(params, pairs, cfg)
+    monkeypatch.setattr(T, "_NO_GRAD_POSITIONS", budget)
+    got = T.dev_loss(params, pairs, cfg)
+    assert got == default
+    assert got == pytest.approx(pinned, rel=1e-12)
 
 
-def test_a_sentence_over_the_no_grad_budget_is_scored_in_chunks():
-    params, pairs = pinned_dev_setup()
-    long = pairs[-1]
+def test_a_sentence_over_the_no_grad_budget_is_scored_in_chunks(monkeypatch):
+    params, _ = pinned_dev_setup()
+    # 16 target positions, and one path more than the budget holds
+    long = rand_pair(np.random.default_rng(12), ns=T._NO_GRAD_POSITIONS // 16 + 1, nt=15)
+    assert len(long.source) * len(long.target) > T._NO_GRAD_POSITIONS
+    calls = []
+    decode = M.decoder_forward
+    monkeypatch.setattr(M, "decoder_forward", lambda *a: calls.append(a) or decode(*a))
+    got = T.expected_multi_path_loss(params, long)
+    assert len(calls) > 1
+    assert all(len(rows) * 16 <= T._NO_GRAD_POSITIONS for *_, rows in calls)
     per_k = [T.path_loss(params, long, k) for k in range(1, len(long.source) + 1)]
-    assert T.expected_multi_path_loss(params, long) == pytest.approx(
-        math.fsum(per_k) / len(per_k), rel=1e-12)
+    assert got == pytest.approx(math.fsum(per_k) / len(per_k), rel=1e-12)
 
 
 def test_dev_loss_encodes_each_no_grad_group_once(monkeypatch):
