@@ -17,8 +17,9 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .cascade import AudioBlocks, cascade_decode
-from .online import ActionTrace, OnlinePolicy, online_greedy_decode
+from .online import ActionTrace, ModelSession, OnlinePolicy, online_greedy_decode
 from .training import INFINITE_K
+from .vocab import EOS
 
 
 @dataclass(frozen=True)
@@ -174,19 +175,33 @@ class T2TTestset:
 
 def sweep_t2t(systems: Sequence[T2TSystem], k_values: Sequence[float],
               testset: T2TTestset) -> list[TradeoffRecord]:
-    """Decode the test set at each lagging and score it with `score_runs`."""
+    """Decode the test set at each lagging and score it with `score_runs`.
+
+    Sentence by sentence, each model encodes the source once, in the
+    first k's decode, and every later k decodes against those rows
+    (`ModelSession.know_source`): the runs are those of
+    `online_greedy_decode` with new sessions, bit for bit.
+    """
     if len(testset.sources) != len(testset.references):
         raise ValueError("testset sources/references mismatch")
     if not testset.sources:
         raise ValueError("empty testset")
+    policies = [OnlinePolicy(k_eval=k) for k in k_values]
     records = []
     for system in systems:
-        for k in k_values:
-            policy = OnlinePolicy(k_eval=k)
-            runs = [(*online_greedy_decode(system.models, src, policy), len(src), None)
-                    for src in testset.sources]
-            records.append(TradeoffRecord(system.system_id, k, *score_runs(
-                runs, testset.references, testset.detokenize)))
+        runs = [[] for _ in policies]
+        for src in testset.sources:
+            known = [*src, EOS]
+            chains = [None] * len(system.models)
+            for policy, k_runs in zip(policies, runs):
+                sessions = [ModelSession(p) for p in system.models]
+                for session, chain in zip(sessions, chains):
+                    session.know_source(known, chain)
+                k_runs.append((*online_greedy_decode(sessions, src, policy), len(src), None))
+                chains = [session.enc for session in sessions]
+        records.extend(TradeoffRecord(system.system_id, k, *score_runs(
+            k_runs, testset.references, testset.detokenize))
+            for k, k_runs in zip(k_values, runs))
     return records
 
 

@@ -13,8 +13,12 @@ what the decoder has observed whether it reads or writes next:
 `OnlinePolicy` for wait-k, `cascade.CascadeConfig` for the cascade.
 
 Decoding keeps incremental encoder/decoder states so each step costs one
-block extension or one decoder step, never a re-run.  Multiple models
-form an ensemble by averaging their per-step log-probabilities.
+block extension or one decoder step, never a re-run.  A local sentence's
+source is known before the first read, so `online_greedy_decode` encodes
+it, end marker included, in one block and lets each write read only the
+rows fed so far; a live source (wire, audio) is encoded block by block as
+it arrives.  Multiple models form an ensemble by averaging their per-step
+log-probabilities.
 """
 from __future__ import annotations
 
@@ -114,10 +118,16 @@ class OnlinePolicy:
 class ModelSession:
     """Incremental wrapper around one Parameters for step-wise decoding.
 
-    Source ids wait in a list until the next ``next_logprobs``, which
-    encodes them as one `model.encode_prefix` block: wait-k's first k
-    reads, a whole k=inf source or a cascade segment cost one encoder
-    call, not one per id.  ``n_encoded`` counts the waiting ids too.
+    A session told its whole source by ``know_source`` before anything is
+    fed encodes it with one `model.encode_prefix` call at its first
+    ``next_logprobs``.  The encoder is causal and `model.decode_step`
+    slices its memory to ``visible``, so each write still reads only the
+    rows fed so far; ``extend_source`` then checks the fed ids against the
+    known ones.  A session that is not told keeps the ids fed since its
+    last write waiting and encodes them as one block at the next write:
+    wait-k's first k reads or a cascade segment cost one encoder call.
+    Either way a block's rows may differ from one-token extensions in the
+    last bits (`model.encode_prefix`).  ``n_encoded`` counts the ids fed.
     """
 
     def __init__(self, params: M.Parameters):
@@ -127,15 +137,46 @@ class ModelSession:
         self.prev = BOS
         self._pending: M.DecoderState | None = None
         self._unencoded: list[int] = []
+        self._known: list[int] | None = None
+        self._fed = 0
 
     @property
     def n_encoded(self) -> int:
-        return (0 if self.enc is None else self.enc.n_tokens) + len(self._unencoded)
+        return self._fed
+
+    def know_source(self, ids: Sequence[int], encoded: M.EncoderState | None = None) -> None:
+        """Take ``ids``, end marker included, as the whole source to be fed.
+
+        ``encoded``, when given, must be ``encode_prefix(params, ids)``;
+        sessions of one source (one per k in a sweep) then share its rows.
+        Telling the same ids again keeps what the session holds.  Raises
+        RuntimeError once any id has been fed, and ValueError for an id
+        the model does not embed.
+        """
+        ids = list(ids)
+        if self._fed:
+            raise RuntimeError("source told after ids were fed; use a new session")
+        if encoded is None and ids == self._known:
+            return
+        _check_source_ids(ids, self.params.config.src_vocab_size)
+        if encoded is not None and encoded.n_tokens != len(ids):
+            raise ValueError(f"encoded state holds {encoded.n_tokens} rows, "
+                             f"source has {len(ids)} ids")
+        self._known, self.enc = ids, encoded
+        self._unencoded = ids if encoded is None else []
 
     def extend_source(self, tokens: Sequence[int]) -> None:
-        self._unencoded.extend(tokens)
+        tokens = list(tokens)
+        if self._known is None:
+            self._unencoded.extend(tokens)
+        elif tokens != self._known[self._fed : self._fed + len(tokens)]:
+            raise ValueError(f"fed ids {tokens} disagree with the known source "
+                             f"at position {self._fed}")
+        self._fed += len(tokens)
 
     def next_logprobs(self, visible: int) -> np.ndarray:
+        if visible > self._fed:
+            raise ValueError(f"visible={visible} exceeds the {self._fed} ids fed")
         if self._unencoded:
             self.enc = M.encode_prefix(self.params, self._unencoded, self.enc)
             self._unencoded = []
@@ -156,6 +197,23 @@ class ModelSession:
         self.dec = None
         self.prev = BOS
         self._pending = None
+
+
+def _check_source_ids(ids: Sequence[int], vocab_size: int) -> None:
+    bad = [t for t in ids if not 0 <= t < vocab_size]
+    if bad:
+        raise ValueError(f"source id {bad[0]} outside [0, {vocab_size})")
+
+
+def _sessions(models) -> list:
+    """A Parameters, or a list of Parameters and session objects, as
+    sessions: each Parameters gets a new `ModelSession`."""
+    if isinstance(models, M.Parameters):
+        models = [models]
+    sessions = [ModelSession(m) if isinstance(m, M.Parameters) else m for m in models]
+    if not sessions:
+        raise ValueError("no models given")
+    return sessions
 
 
 def ensemble_logprobs(per_model: Sequence[np.ndarray]) -> np.ndarray:
@@ -206,11 +264,7 @@ def read_write_decode(models, source, policy, on_write=None,
     advance in lock step).  Returns (tokens, trace): tokens exclude the
     final EOS, the trace includes its write.
     """
-    if isinstance(models, M.Parameters):
-        models = [models]
-    sessions = [ModelSession(m) if isinstance(m, M.Parameters) else m for m in models]
-    if not sessions:
-        raise ValueError("no models given")
+    sessions = _sessions(models)
     events: list = []
     tokens: list[int] = []
     units = observed = 0
@@ -254,14 +308,24 @@ def online_greedy_decode(models, x: Sequence[int], policy: OnlinePolicy):
     """Greedy wait-k decoding of one local sentence: `read_write_decode`
     over one read per token, then a read that finds the end.
 
-    Depletion is thus observed the way a stream consumer observes it, and
-    the served client (`server.client_waitk_session`) decodes identically.
+    Depletion is thus observed the way a stream consumer observes it.
+    Every `ModelSession` driven, built from a Parameters or passed in, is
+    told ``x + [EOS]`` first (`ModelSession.know_source`), so it encodes
+    the source in one block; a used session, or an id outside a model's
+    source vocabulary, raises before any read.  Other session objects are
+    fed as `read_write_decode` feeds them.  The served client
+    (`server.client_waitk_session`) gives the same tokens and traces.
     """
     x = list(x)
     if not x:
         raise ValueError("empty source")
+    sessions = _sessions(models)
+    known = x + [EOS]
+    for s in sessions:
+        if isinstance(s, ModelSession):
+            s.know_source(known)
     chunks = [Chunk(ids=(t,), units=1) for t in x] + [Chunk(ended=True)]
-    return read_write_decode(models, iter(chunks), policy)
+    return read_write_decode(sessions, iter(chunks), policy)
 
 
 def offline_greedy_decode(models, x: Sequence[int], max_len: int = 200):
@@ -276,6 +340,8 @@ def offline_greedy_decode(models, x: Sequence[int], max_len: int = 200):
         raise ValueError("empty source")
     if isinstance(models, M.Parameters):
         models = [models]
+    for p in models:
+        _check_source_ids(x, p.config.src_vocab_size)
     n = len(x)
     x_model = M.with_source_marker(x)
     mems = [M.encoder_forward(p, x_model)[0] for p in models]

@@ -344,11 +344,13 @@ def client_waitk_session(host: str, port: int, session_id: int, models,
                          policy, vocab) -> list[str]:
     """Translate one served sentence with a wait-k policy.
 
-    Runs `online.read_write_decode` with the source on the wire, so it
-    decodes exactly as `online.online_greedy_decode` does on the same
-    sentence; a run the write budget truncates is closed with an
-    end-of-sequence WRITE.  Returns the emitted token strings (end marker
-    excluded).
+    Runs `online.read_write_decode` with the source on the wire, encoding
+    the ids read since each write as one block.  It gives the same tokens
+    and traces as `online.online_greedy_decode`, which encodes the known
+    sentence in one block; log-probs differ by at most the block-split
+    bound of `model.encode_prefix`.  A run the write budget truncates is
+    closed with an end-of-sequence WRITE.  Returns the emitted token
+    strings (end marker excluded).
     """
     conn = _Conn(host, port)
 

@@ -199,6 +199,35 @@ def test_sweep_t2t_records_match_direct_decoding():
     assert rec.bleu == pytest.approx(expect_bleu, rel=1e-15)
 
 
+def test_sweep_t2t_encodes_each_sentence_once_per_model(monkeypatch):
+    models = [small_params(seed=6), small_params(seed=7)]
+    sources = [[4, 5, 6, 7], [8, 9, 10], [11, 4, 9, 12, 5]]
+    testset = X.T2TTestset(sources=sources, references=["4 5", "8 9", "11 4"],
+                           detokenize=detok_ids)
+    ks = [1, 2, 3, INFINITE_K]
+    systems = [X.T2TSystem("pair", models), X.T2TSystem("one", models[:1])]
+    blocks = []
+    real_encode = M.encode_prefix
+
+    def encode(p, ids, state=None):
+        blocks.append((id(p), len(ids)))
+        return real_encode(p, ids, state)
+
+    monkeypatch.setattr(M, "encode_prefix", encode)
+    recs = X.sweep_t2t(systems, ks, testset)
+    assert blocks == [(id(p), len(src) + 1) for system in systems
+                      for src in sources for p in system.models]
+    # the records of per-k decodes with new sessions, bit for bit
+    expect = []
+    for system in systems:
+        for k in ks:
+            runs = [(*online_greedy_decode(system.models, src, OnlinePolicy(k_eval=k)),
+                     len(src), None) for src in sources]
+            expect.append(X.TradeoffRecord(system.system_id, k, *X.score_runs(
+                runs, testset.references, detok_ids)))
+    assert recs == expect
+
+
 def test_sweep_t2t_validation():
     ts = X.T2TTestset(sources=[], references=[], detokenize=detok_ids)
     with pytest.raises(ValueError):

@@ -242,42 +242,119 @@ class PerTokenSession:
         self.dec, self.prev = self.pending, token
 
 
-@pytest.mark.parametrize("k", [1, 3, INFINITE_K])
-def test_deferred_block_encoding_matches_per_token_encoding(k, monkeypatch):
-    # ModelSession encodes the ids read since its last write as one block;
-    # blocks round differently from one-row extensions, within 1e-12
-    params = small_params(seed=6)
-    rng = np.random.default_rng(7)
-    blocks, logps = [], []
-    real_encode, real_step = M.encode_prefix, M.decode_step
+def count_encoder_calls(monkeypatch):
+    """Record the number of ids of every `model.encode_prefix` call."""
+    blocks = []
+    real_encode = M.encode_prefix
 
     def encode(p, ids, state=None):
         blocks.append(len(ids))
         return real_encode(p, ids, state)
+
+    monkeypatch.setattr(M, "encode_prefix", encode)
+    return blocks
+
+
+@pytest.mark.parametrize("k", [1, 3, INFINITE_K])
+def test_deferred_block_encoding_matches_per_token_encoding(k, monkeypatch):
+    # ModelSession encodes a known source as one block; blocks round
+    # differently from one-row extensions, within 1e-12
+    params = small_params(seed=6)
+    rng = np.random.default_rng(7)
+    logps = []
+    real_step = M.decode_step
 
     def step(*args):
         logp, dec = real_step(*args)
         logps.append(logp)
         return logp, dec
 
-    monkeypatch.setattr(M, "encode_prefix", encode)
     monkeypatch.setattr(M, "decode_step", step)
     for _ in range(8):
         x = [int(v) for v in rng.integers(4, 16, size=rng.integers(2, 12))]
         policy = O.OnlinePolicy(k_eval=k, alpha_len=1.0, beta_len=6)
         runs = []
         for session in (O.ModelSession(params), PerTokenSession(params)):
-            blocks.clear()
             logps.clear()
-            runs.append((O.online_greedy_decode([session], x, policy), list(blocks), list(logps)))
-        (block_out, block_calls, block_logps), (token_out, _, token_logps) = runs
+            runs.append((O.online_greedy_decode([session], x, policy), list(logps)))
+        (block_out, block_logps), (token_out, token_logps) = runs
         assert block_out == token_out
         assert len(block_logps) == len(token_logps)
         assert all(np.abs(a - b).max() < 1e-12 for a, b in zip(block_logps, token_logps))
+
+
+@pytest.mark.parametrize("k", [1, 3, INFINITE_K])
+def test_live_source_encodes_the_reads_since_the_last_write_as_one_block(k, monkeypatch):
+    # a session fed by a source it cannot see ahead of, as on the wire
+    params = small_params(seed=6)
+    rng = np.random.default_rng(7)
+    block_calls = count_encoder_calls(monkeypatch)
+    for _ in range(8):
+        x = [int(v) for v in rng.integers(4, 16, size=rng.integers(2, 12))]
+        policy = O.OnlinePolicy(k_eval=k, alpha_len=1.0, beta_len=6)
+        chunks = [O.Chunk(ids=(t,), units=1) for t in x] + [O.Chunk(ended=True)]
+        block_calls.clear()
+        live = O.read_write_decode(params, iter(chunks), policy)
         # the first write encodes k ids in one call, or the whole source
         # and its end marker when k reaches past it
         assert block_calls[0] == (len(x) + 1 if k >= len(x) else k)
         assert sum(block_calls) == len(x) + 1
+        assert live == O.online_greedy_decode(params, x, policy)
+
+
+@pytest.mark.parametrize("k", [1, 3, INFINITE_K])
+@pytest.mark.parametrize("n_models", [1, 2])
+def test_known_source_is_encoded_in_one_call_per_session(k, n_models, monkeypatch):
+    models = [small_params(seed=6 + i) for i in range(n_models)]
+    rng = np.random.default_rng(7)
+    block_calls = count_encoder_calls(monkeypatch)
+    for _ in range(8):
+        x = [int(v) for v in rng.integers(4, 16, size=rng.integers(2, 12))]
+        block_calls.clear()
+        sessions = [O.ModelSession(p) for p in models]
+        O.online_greedy_decode(sessions, x, O.OnlinePolicy(k_eval=k))
+        assert block_calls == [len(x) + 1] * n_models
+        assert all(s.n_encoded == len(x) + 1 for s in sessions)
+
+
+def test_fed_ids_must_agree_with_the_known_source():
+    s = O.ModelSession(small_params())
+    s.know_source([4, 5, 6, EOS])
+    s.extend_source([4, 5])
+    with pytest.raises(ValueError, match="disagree"):
+        s.extend_source([7])
+    with pytest.raises(ValueError, match="disagree"):
+        s.extend_source([6, EOS, EOS])
+    with pytest.raises(ValueError, match="exceeds"):   # no row beyond those fed
+        s.next_logprobs(3)
+
+
+def test_a_used_session_refuses_a_new_source():
+    # it used to decode the second sentence against the first one's rows
+    params = small_params(seed=5)
+    s = O.ModelSession(params)
+    O.online_greedy_decode([s], [4, 5, 6], O.OnlinePolicy(k_eval=2))
+    with pytest.raises(RuntimeError, match="fed"):
+        O.online_greedy_decode([s], [7, 8], O.OnlinePolicy(k_eval=2))
+    fresh = O.ModelSession(params)
+    fresh.know_source([9, EOS])                   # told, not yet fed: may change
+    assert (O.online_greedy_decode([fresh], [7, 8], O.OnlinePolicy(k_eval=2))
+            == O.online_greedy_decode(params, [7, 8], O.OnlinePolicy(k_eval=2)))
+
+
+@pytest.mark.parametrize("bad", [-1, 16, 99])
+def test_out_of_range_source_ids_are_refused(bad):
+    # -1 used to embed the last vocabulary row, 16 raised IndexError
+    params = small_params()
+    s = O.ModelSession(params)
+    with pytest.raises(ValueError, match="outside"):
+        O.online_greedy_decode([s], [4, bad, 5], O.OnlinePolicy(k_eval=1))
+    assert s.n_encoded == 0 and s.enc is None and s.dec is None
+    with pytest.raises(ValueError, match="outside"):
+        O.online_greedy_decode([params, small_params(vocab=200)], [4, bad],
+                               O.OnlinePolicy(k_eval=1))
+    with pytest.raises(ValueError, match="outside"):
+        O.offline_greedy_decode(params, [4, bad, 5])
 
 
 # ---------------------------------------------------------------------------
