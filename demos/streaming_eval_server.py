@@ -52,13 +52,13 @@ for k in (1, 3):
         server.stop()
 
     # 3. the offline sweep on the same sentences, for comparison
-    from simumt import metrics as X
+    from simumt import sweep as W
 
-    offline = X.sweep_t2t(
-        [X.T2TSystem("copy", [result.params])], [k],
-        X.T2TTestset(sources=sources_ids, references=references,
-                     detokenize=lambda ids: " ".join(vocab.token(t)
-                                                     for t in ids)))[0]
+    offline = W.sweep_t2t(
+        [W.T2TSystem("copy", [result.params])], [k],
+        W.Testset(sources=sources_ids, references=references,
+                  detokenize=lambda ids: " ".join(vocab.token(t)
+                                                  for t in ids)))[0]
     print(f"k={k}: served BLEU {wire['bleu']:.4f} / AL {wire['al_words']:.3f}"
           f"  vs offline BLEU {offline.bleu:.4f} / AL {offline.al_words:.3f}"
           f"  (diff {abs(wire['bleu'] - offline.bleu):.2e}, "

@@ -45,15 +45,15 @@ for ep in result.history:
 
 # 4. the sweep: decode the held-out set at each k and score BLEU plus
 #    word-level Average Lagging from the recorded action traces
-from simumt import metrics as X
+from simumt import sweep as W
 
-testset = X.T2TTestset(
+testset = W.Testset(
     sources=[list(p.source) for p in held],
     references=[" ".join(vocab.token(t) for t in p.target[:-1]) for p in held],
     detokenize=lambda ids: " ".join(vocab.token(t) for t in ids),
 )
 k_values = [1, 2, 3, 5, math.inf]
-records = X.sweep_t2t([X.T2TSystem("multi_path", [result.params])],
+records = W.sweep_t2t([W.T2TSystem("multi_path", [result.params])],
                       k_values, testset)
 
 print(f"\n{'k':>5}  {'BLEU':>7}  {'AL (words)':>10}")
@@ -62,9 +62,7 @@ for rec in records:
     print(f"{k:>5}  {rec.bleu:7.4f}  {rec.al_words:10.3f}")
 
 # 5. the same table as a diff-stable CSV, as the benchmark CLI writes it
-from simumt.runconfig import emit_plotdata
-
 out = Path(tempfile.mkdtemp()) / "waitk_tradeoff.csv"
-emit_plotdata(records, out)
+W.emit_plotdata(records, out)
 print(f"\nplot data written to {out}:")
 print(out.read_text(), end="")

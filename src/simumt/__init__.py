@@ -19,9 +19,10 @@ from .online import (ActionTrace, OnlinePolicy, ReadEvent, WriteEvent,
 from .cascade import (AsrSnapshot, CascadeConfig, CascadeMT, EndpointRule,
                       TimedWord, cascade_decode, detect_endpoint,
                       segment_stream)
-from .metrics import (BleuBreakdown, TradeoffRecord, average_lagging_ms,
-                      average_lagging_words, corpus_bleu, sweep_t2t)
+from .metrics import (BleuBreakdown, average_lagging_ms, average_lagging_words,
+                      corpus_bleu)
 from .normalize import asr_normalize, build_number_lexicon
+from .sweep import TradeoffRecord, sweep_t2t
 from .server import ServerTestset, serve_eval
 
 __version__ = "0.1.0"

@@ -25,7 +25,7 @@ import numpy as np
 from . import bpe as bpe_mod
 from . import cascade as casc
 from . import corpus as corp
-from . import metrics, model, online, runconfig, server, training
+from . import model, online, runconfig, server, sweep, training
 from .vocab import EOS
 
 CONFIG_ENV_VAR = "SIMUMT_CONFIG"
@@ -232,20 +232,20 @@ def _cmd_sweep(args) -> int:
     text_pairs = corp.load_parallel_text(args.testset)
     if not text_pairs:
         raise ValueError(f"no sentence pairs in {args.testset}")
-    testset = metrics.T2TTestset(
+    testset = sweep.Testset(
         sources=[subword.encode(s) for s, _ in text_pairs],
         references=[t for _, t in text_pairs],
         detokenize=subword.decode,
     )
-    systems = [metrics.T2TSystem(system_id=Path(p).stem, models=[m])
-               for p, m in zip(args.model, _load_models(args.model))]
-    if args.ensemble and len(args.model) > 1:
-        systems.append(metrics.T2TSystem(
-            system_id="ensemble", models=_load_models(args.model)))
-    records = metrics.sweep_t2t(systems, _parse_k_list(args.k), testset)
+    models = _load_models(args.model)
+    systems = [sweep.T2TSystem(system_id=Path(p).stem, models=[m])
+               for p, m in zip(args.model, models)]
+    if args.ensemble and len(models) > 1:
+        systems.append(sweep.T2TSystem(system_id="ensemble", models=models))
+    records = sweep.sweep_t2t(systems, _parse_k_list(args.k), testset)
     header = runconfig.artifact_header(
         {"k": args.k, "models": args.model}, {"testset": args.testset})
-    runconfig.emit_plotdata(records, args.out, header)
+    sweep.emit_plotdata(records, args.out, header)
     print(f"wrote {len(records)} tradeoff rows to {args.out}")
     return 0
 

@@ -1,4 +1,4 @@
-"""Translation quality and latency metrics, plus the tradeoff sweep.
+"""Translation quality and latency metrics.
 
 Quality is corpus-level BLEU: clipped n-gram precisions pooled over the
 corpus, geometric mean over orders 1..4, times a brevity penalty.
@@ -6,20 +6,15 @@ Latency is average lagging, in source tokens for text input and in
 milliseconds for speech input: how far, on average, the writer trails an
 ideal wait-0 writer that consumes the source at the rate the hypothesis
 implies.  `score_runs` scores the sweeps and the evaluation server alike.
-The sweep runs systems across a range of laggings and collects (quality,
-latency) pairs for plotting.
 """
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
-from .cascade import AudioBlocks, cascade_decode
-from .online import ActionTrace, ModelSession, OnlinePolicy, online_greedy_decode
-from .training import INFINITE_K
-from .vocab import EOS
+from .online import ActionTrace
 
 
 @dataclass(frozen=True)
@@ -147,99 +142,3 @@ def score_runs(runs: Sequence[tuple], references: Sequence[str],
     return bleu, al_words, _mean([average_lagging_ms(trace, total_ms, len(tokens))
                                   for tokens, trace, _, total_ms in timed])
 
-
-# ---------------------------------------------------------------------------
-# latency-quality sweep
-
-@dataclass(frozen=True)
-class TradeoffRecord:
-    system_id: str
-    k_eval: float
-    bleu: float
-    al_words: float
-    al_ms: float | None = None
-
-
-@dataclass(frozen=True)
-class T2TSystem:
-    system_id: str
-    models: list                    # one or more Parameters (ensembled)
-
-
-@dataclass(frozen=True)
-class T2TTestset:
-    sources: list                   # id sequences
-    references: list[str]           # detokenized reference strings
-    detokenize: object              # ids -> string
-
-
-def sweep_t2t(systems: Sequence[T2TSystem], k_values: Sequence[float],
-              testset: T2TTestset) -> list[TradeoffRecord]:
-    """Decode the test set at each lagging and score it with `score_runs`.
-
-    Sentence by sentence, each model encodes the source once, in the
-    first k's decode, and every later k decodes against those rows
-    (`ModelSession.know_source`): the runs are those of
-    `online_greedy_decode` with new sessions, bit for bit.
-    """
-    if len(testset.sources) != len(testset.references):
-        raise ValueError("testset sources/references mismatch")
-    if not testset.sources:
-        raise ValueError("empty testset")
-    policies = [OnlinePolicy(k_eval=k) for k in k_values]
-    records = []
-    for system in systems:
-        runs = [[] for _ in policies]
-        for src in testset.sources:
-            known = [*src, EOS]
-            chains = [None] * len(system.models)
-            for policy, k_runs in zip(policies, runs):
-                sessions = [ModelSession(p) for p in system.models]
-                for session, chain in zip(sessions, chains):
-                    session.know_source(known, chain)
-                k_runs.append((*online_greedy_decode(sessions, src, policy), len(src), None))
-                chains = [session.enc for session in sessions]
-        records.extend(TradeoffRecord(system.system_id, k, *score_runs(
-            k_runs, testset.references, testset.detokenize))
-            for k, k_runs in zip(k_values, runs))
-    return records
-
-
-@dataclass(frozen=True)
-class S2TSystem:
-    system_id: str
-    mt: object                      # cascade.CascadeMT
-    config: object                  # cascade.CascadeConfig
-
-
-@dataclass(frozen=True)
-class S2TTestset:
-    streams: list                   # lists of TimedWord
-    references: list[str]
-    detokenize: object
-
-
-def sweep_s2t(systems: Sequence[S2TSystem], sz_values: Sequence[float],
-              testset: S2TTestset) -> list[TradeoffRecord]:
-    """Latency sweep for the cascade: the swept variable is the READ
-    chunk size in audio blocks; an infinite value reads all audio before
-    writing (offline).  Scored with `score_runs`, AL in words over audio
-    blocks.  Every stream must hold at least one word."""
-    if len(testset.streams) != len(testset.references):
-        raise ValueError("testset streams/references mismatch")
-    if not testset.streams:
-        raise ValueError("empty testset")
-    if not all(testset.streams):
-        raise ValueError("testset has an empty stream")
-    records = []
-    for system in systems:
-        for sz in sz_values:
-            runs = []
-            for stream in testset.streams:
-                blocks = AudioBlocks.of(stream, system.config.block_ms)
-                real_sz = blocks.n_blocks if sz == INFINITE_K else int(sz)
-                res = cascade_decode(stream, system.mt, replace(system.config, sz=real_sz))
-                runs.append((res.tokens, res.trace, blocks.n_blocks, blocks.total_ms))
-            records.append(TradeoffRecord(system.system_id, sz, *score_runs(
-                runs, testset.references, testset.detokenize)))
-    return records

@@ -97,19 +97,3 @@ def artifact_header(config: RunConfig | dict, input_paths: Mapping | None = None
                   for role, p in input_paths.items()}
     return "# " + json.dumps({"config": cfg, "inputs": inputs}, sort_keys=True)
 
-
-def emit_plotdata(records, path, config_header: str | None = None) -> None:
-    """Tradeoff CSV: system,k,bleu,al_words,al_ms sorted by (system, al_words).
-
-    ``records`` are metrics.TradeoffRecord; k of infinity prints as "inf".
-    Values are printed with repr so reading them back is exact.
-    """
-    rows = sorted(records, key=lambda r: (r.system_id, r.al_words, r.k_eval))
-    with open(path, "w", encoding="utf-8") as f:
-        if config_header:
-            f.write(config_header.rstrip("\n") + "\n")
-        f.write("system,k,bleu,al_words,al_ms\n")
-        for r in rows:
-            k = "inf" if r.k_eval == float("inf") else repr(r.k_eval)
-            al_ms = "" if r.al_ms is None else repr(float(r.al_ms))
-            f.write(f"{r.system_id},{k},{float(r.bleu)!r},{float(r.al_words)!r},{al_ms}\n")

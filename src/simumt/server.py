@@ -45,6 +45,7 @@ from dataclasses import dataclass, field
 from .cascade import AudioBlocks, validate_stream
 from .metrics import score_runs
 from .online import ActionTrace, Chunk, ReadEvent, WriteEvent, read_write_decode
+from .sweep import Testset
 from .vocab import EOS_TOKEN
 
 MAX_FRAME_BYTES = 64 * 1024     # one client frame line, newline included
@@ -53,31 +54,20 @@ MAX_CONNECTIONS = 64            # live connections, each with its own thread
 
 
 @dataclass(frozen=True)
-class ServerTestset:
-    """What the server serves and scores against.
-
-    t2t: sources are token-string sequences.  s2t: sources are TimedWord
-    streams (without overlaps) revealed in fixed audio blocks.  An empty
-    source or stream is refused.
-    """
+class ServerTestset(Testset):
+    """What the server serves and scores against: t2t sources are
+    token-string sequences, s2t sources TimedWord streams (without
+    overlaps) revealed in fixed audio blocks."""
 
     mode: str                       # "t2t" | "s2t"
-    sources: list
-    references: list[str]           # whitespace-tokenized for scoring
-    detokenize: object              # token strings -> display string
     block_ms: float = 100.0
 
     def __post_init__(self) -> None:
         if self.mode not in ("t2t", "s2t"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if len(self.sources) != len(self.references):
-            raise ValueError("sources/references length mismatch")
-        if not self.sources:
-            raise ValueError("empty testset")
-        for i, src in enumerate(self.sources):
-            if not src:
-                raise ValueError(f"source {i} is empty")
-            if self.mode == "s2t":
+        super().__post_init__()
+        if self.mode == "s2t":
+            for src in self.sources:
                 validate_stream(src)
 
 
@@ -110,10 +100,7 @@ class _Handler(socketserver.StreamRequestHandler):
         try:
             while raw := self.rfile.readline(MAX_FRAME_BYTES + 1):
                 if len(raw) > MAX_FRAME_BYTES:
-                    if session is not None:
-                        session.aborted = True
-                    self._send({"error": f"frame longer than {MAX_FRAME_BYTES} bytes"})
-                    return
+                    return self._refuse(session, f"frame longer than {MAX_FRAME_BYTES} bytes")
                 try:
                     line = raw.decode("utf-8").strip()
                     if not line:
@@ -123,23 +110,18 @@ class _Handler(socketserver.StreamRequestHandler):
                         raise ValueError("frame must be a JSON object")
                     act = frame["act"]
                 except (KeyError, ValueError) as e:     # incl. JSON and UTF-8 errors
-                    if session is not None:
-                        session.aborted = True
-                    self._send({"error": f"malformed frame: {e}"})
-                    return
+                    return self._refuse(session, f"malformed frame: {e}")
                 if act == "SCORE":
                     self._send(server.scores())
                     return
                 if act == "START" and session is not None:
-                    self._send({"error": "session already started"})
-                    return
+                    return self._refuse(session, "session already started")
                 if session is None:
                     try:
                         session = server.open_session(
                             frame.get("id") if act == "START" else None)
                     except ValueError as e:
-                        self._send({"error": str(e)})
-                        return
+                        return self._refuse(session, str(e))
                     if act == "START":
                         self._send({"ok": True, "id": session.session_id})
                         continue
@@ -148,27 +130,27 @@ class _Handler(socketserver.StreamRequestHandler):
                 elif act == "WRITE":
                     tok = frame.get("token")
                     if not isinstance(tok, str):
-                        session.aborted = True
-                        self._send({"error": "WRITE needs a string token"})
-                        return
+                        return self._refuse(session, "WRITE needs a string token")
                     try:
                         done = server.record_write(session, tok)
                     except ValueError as e:
-                        session.aborted = True
-                        self._send({"error": str(e)})
-                        return
+                        return self._refuse(session, str(e))
                     self._send({"ok": True, "done": True} if done else {"ok": True})
                     if done:
                         return
                 else:
-                    session.aborted = True
-                    self._send({"error": f"unknown act {act!r}"})
-                    return
+                    return self._refuse(session, f"unknown act {act!r}")
         except OSError:     # idle timeout, reset or broken pipe: close quietly
             pass
         finally:
             if session is not None and not session.done:
                 session.aborted = True
+
+    def _refuse(self, session: EvalSession | None, message: str) -> None:
+        # every refusal aborts the open session, replies, then closes
+        if session is not None:
+            session.aborted = True
+        self._send({"error": message})
 
     def _send(self, obj: dict) -> None:
         self.wfile.write((json.dumps(obj) + "\n").encode("utf-8"))

@@ -16,6 +16,7 @@ from simumt import metrics as X
 from simumt import model as M
 from simumt import online as O
 from simumt import server as S
+from simumt import sweep as W
 from simumt import training as T
 from simumt.cascade import (CascadeConfig, CascadeMT, EndpointRule, Segment,
                             TimedWord, cascade_decode, default_endpoint_rules,
@@ -790,10 +791,10 @@ def test_criterion_12_service_offline_equality():
         toks, _ = O.offline_greedy_decode(params, ids, max_len=20)
         refs.append(" ".join(vocab.token(t) for t in toks) or "t4")
 
-    t2t = X.T2TTestset(sources=sources_ids, references=refs,
-                       detokenize=lambda ids: " ".join(vocab.token(t) for t in ids))
+    t2t = W.Testset(sources=sources_ids, references=refs,
+                    detokenize=lambda ids: " ".join(vocab.token(t) for t in ids))
     k_values = [1, 3, INFINITE_K]
-    offline = X.sweep_t2t([X.T2TSystem("m", [params])], k_values, t2t)
+    offline = W.sweep_t2t([W.T2TSystem("m", [params])], k_values, t2t)
 
     sources_strs = [[vocab.token(t) for t in ids] for ids in sources_ids]
     any_nonzero = False

@@ -182,6 +182,25 @@ def test_sweep_ensemble_adds_system(workspace, tmp_path):
     assert {r[0] for r in rows} == {"model", "ensemble"}
 
 
+def test_sweep_ensemble_loads_each_checkpoint_once(workspace, tmp_path, monkeypatch):
+    from simumt import model
+    loaded = []
+    real_load = model.load_checkpoint
+
+    def load(path):
+        loaded.append(path)
+        return real_load(path)
+
+    monkeypatch.setattr(model, "load_checkpoint", load)
+    run = workspace / "run"
+    assert cli(["sweep", "--model", str(run / "model.ckpt"),
+                "--model", str(run / "model.ckpt"),
+                "--bpe", str(run / "bpe.model"),
+                "--testset", str(workspace / "corpus.tsv"),
+                "--k", "1", "--ensemble", "--out", str(tmp_path / "plot.csv")]) == 0
+    assert len(loaded) == 2
+
+
 def test_grad_check_pass_and_fail(capsys):
     assert cli(["grad-check", "--probes", "10"]) == 0
     assert "PASS" in capsys.readouterr().out

@@ -1,9 +1,12 @@
+import ast
 import math
+from pathlib import Path
 
 import pytest
 
 from simumt import metrics as X
 from simumt import model as M
+from simumt import sweep as W
 from simumt.cascade import CascadeConfig, CascadeMT, EndpointRule, TimedWord
 from simumt.online import (ActionTrace, OnlinePolicy, ReadEvent, WriteEvent,
                            online_greedy_decode)
@@ -165,7 +168,7 @@ def test_al_ms_validation():
 
 
 # ---------------------------------------------------------------------------
-# tradeoff sweeps
+# tradeoff sweeps (simumt.sweep)
 
 def detok_ids(tokens):
     return " ".join(str(t) for t in tokens)
@@ -176,10 +179,10 @@ def test_sweep_t2t_records_match_direct_decoding():
     sources = [[4, 5, 6, 7], [8, 9, 10]]
     # references that the random model will not match; BLEU just has to be
     # a well-defined number in [0, 1]
-    testset = X.T2TTestset(sources=sources, references=["4 5", "8 9"],
-                           detokenize=detok_ids)
+    testset = W.Testset(sources=sources, references=["4 5", "8 9"],
+                        detokenize=detok_ids)
     ks = [1, 2, INFINITE_K]
-    recs = X.sweep_t2t([X.T2TSystem("sys", [params])], ks, testset)
+    recs = W.sweep_t2t([W.T2TSystem("sys", [params])], ks, testset)
     assert [r.k_eval for r in recs] == ks
     assert all(r.system_id == "sys" and r.al_ms is None for r in recs)
     assert all(0.0 <= r.bleu <= 1.0 for r in recs)
@@ -202,10 +205,10 @@ def test_sweep_t2t_records_match_direct_decoding():
 def test_sweep_t2t_encodes_each_sentence_once_per_model(monkeypatch):
     models = [small_params(seed=6), small_params(seed=7)]
     sources = [[4, 5, 6, 7], [8, 9, 10], [11, 4, 9, 12, 5]]
-    testset = X.T2TTestset(sources=sources, references=["4 5", "8 9", "11 4"],
-                           detokenize=detok_ids)
+    testset = W.Testset(sources=sources, references=["4 5", "8 9", "11 4"],
+                        detokenize=detok_ids)
     ks = [1, 2, 3, INFINITE_K]
-    systems = [X.T2TSystem("pair", models), X.T2TSystem("one", models[:1])]
+    systems = [W.T2TSystem("pair", models), W.T2TSystem("one", models[:1])]
     blocks = []
     real_encode = M.encode_prefix
 
@@ -214,7 +217,7 @@ def test_sweep_t2t_encodes_each_sentence_once_per_model(monkeypatch):
         return real_encode(p, ids, state)
 
     monkeypatch.setattr(M, "encode_prefix", encode)
-    recs = X.sweep_t2t(systems, ks, testset)
+    recs = W.sweep_t2t(systems, ks, testset)
     assert blocks == [(id(p), len(src) + 1) for system in systems
                       for src in sources for p in system.models]
     # the records of per-k decodes with new sessions, bit for bit
@@ -223,18 +226,19 @@ def test_sweep_t2t_encodes_each_sentence_once_per_model(monkeypatch):
         for k in ks:
             runs = [(*online_greedy_decode(system.models, src, OnlinePolicy(k_eval=k)),
                      len(src), None) for src in sources]
-            expect.append(X.TradeoffRecord(system.system_id, k, *X.score_runs(
+            expect.append(W.TradeoffRecord(system.system_id, k, *X.score_runs(
                 runs, testset.references, detok_ids)))
     assert recs == expect
 
 
 def test_sweep_t2t_validation():
-    ts = X.T2TTestset(sources=[], references=[], detokenize=detok_ids)
-    with pytest.raises(ValueError):
-        X.sweep_t2t([X.T2TSystem("s", [small_params()])], [1], ts)
-    ts = X.T2TTestset(sources=[[4]], references=[], detokenize=detok_ids)
-    with pytest.raises(ValueError):
-        X.sweep_t2t([X.T2TSystem("s", [small_params()])], [1], ts)
+    # the testset refuses itself at construction, before any sweep runs
+    with pytest.raises(ValueError, match="empty testset"):
+        W.Testset(sources=[], references=[], detokenize=detok_ids)
+    with pytest.raises(ValueError, match="length mismatch"):
+        W.Testset(sources=[[4]], references=[], detokenize=detok_ids)
+    with pytest.raises(ValueError, match="source 1 is empty"):
+        W.Testset(sources=[[4], []], references=["4", "5"], detokenize=detok_ids)
 
 
 def test_sweep_s2t_structure():
@@ -247,9 +251,9 @@ def test_sweep_s2t_structure():
                         block_ms=100.0)
     streams = [[TimedWord("aa", 0, 300), TimedWord("bbb", 400, 300)],
                [TimedWord("cccc", 0, 500)]]
-    testset = X.S2TTestset(streams=streams, references=["4 5", "6"],
-                           detokenize=detok_ids)
-    recs = X.sweep_s2t([X.S2TSystem("cas", mt, cfg)], [1, 2, INFINITE_K], testset)
+    testset = W.Testset(sources=streams, references=["4 5", "6"],
+                        detokenize=detok_ids)
+    recs = W.sweep_s2t([W.S2TSystem("cas", mt, cfg)], [1, 2, INFINITE_K], testset)
     assert [r.k_eval for r in recs] == [1, 2, INFINITE_K]
     for r in recs:
         assert 0.0 <= r.bleu <= 1.0
@@ -298,8 +302,47 @@ def test_score_runs_without_tokens_means_are_zero():
     assert X.score_runs(speech, ["4", "5"], detok_ids) == (0.0, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("sz", [2.5, 0, -1, math.nan, -math.inf])
+def test_sweep_s2t_refuses_a_size_that_is_not_a_whole_number(monkeypatch, sz):
+    # sz 2.5 once decoded at 2 and was recorded as 2.5
+    decodes = []
+    monkeypatch.setattr(W, "cascade_decode", lambda *args: decodes.append(args))
+    testset = W.Testset(sources=[[TimedWord("a", 0, 300)]], references=["4"],
+                        detokenize=detok_ids)
+    with pytest.raises(ValueError, match="whole number"):
+        W.sweep_s2t([W.S2TSystem("cas", None, CascadeConfig())], [1, sz], testset)
+    assert decodes == []
+
+
+def test_sweep_s2t_takes_a_whole_float_size():
+    mt = CascadeMT(models=[small_params(seed=7)],
+                   encode_source=lambda text: [4 + len(w) % 10 for w in text.split()])
+    testset = W.Testset(sources=[[TimedWord("aa", 0, 300), TimedWord("bbb", 400, 300)]],
+                        references=["4 5"], detokenize=detok_ids)
+    whole, floated = W.sweep_s2t([W.S2TSystem("cas", mt, CascadeConfig())], [2, 2.0], testset)
+    assert (floated.bleu, floated.al_words, floated.al_ms) == \
+        (whole.bleu, whole.al_words, whole.al_ms)
+
+
 def test_sweep_s2t_rejects_an_empty_stream():
-    testset = X.S2TTestset(streams=[[TimedWord("a", 0, 300)], []],
-                           references=["4", "5"], detokenize=detok_ids)
-    with pytest.raises(ValueError, match="empty stream"):
-        X.sweep_s2t([X.S2TSystem("cas", None, CascadeConfig())], [1], testset)
+    with pytest.raises(ValueError, match="source 1 is empty"):
+        W.Testset(sources=[[TimedWord("a", 0, 300)], []],
+                  references=["4", "5"], detokenize=detok_ids)
+
+
+# ---------------------------------------------------------------------------
+# layering
+
+def test_metrics_imports_nothing_of_the_package_but_action_trace():
+    # scoring knows nothing of the decoders it scores; the sweeps live in
+    # simumt.sweep
+    tree = ast.parse(Path(X.__file__).read_text(encoding="utf-8"))
+    package_imports = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or (node.module or "").startswith("simumt")):
+            package_imports += [(node.module, a.name) for a in node.names]
+        elif isinstance(node, ast.Import):
+            package_imports += [(a.name, None) for a in node.names
+                                if a.name.startswith("simumt")]
+    assert package_imports == [("online", "ActionTrace")]

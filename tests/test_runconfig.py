@@ -1,10 +1,11 @@
+import csv
 import hashlib
 import json
 
 import pytest
 
 from simumt import runconfig as R
-from simumt.metrics import TradeoffRecord
+from simumt.sweep import TradeoffRecord, emit_plotdata
 from simumt.training import INFINITE_K
 
 
@@ -92,7 +93,7 @@ def test_emit_plotdata_sorted_exact_and_inf(tmp_path):
         TradeoffRecord("a", 1, 0.25, 1.5, 150.0),
     ]
     p = tmp_path / "plot.csv"
-    R.emit_plotdata(recs, p, config_header="# cfg")
+    emit_plotdata(recs, p, config_header="# cfg")
     lines = p.read_text().splitlines()
     assert lines[0] == "# cfg"
     assert lines[1] == "system,k,bleu,al_words,al_ms"
@@ -101,3 +102,15 @@ def test_emit_plotdata_sorted_exact_and_inf(tmp_path):
     assert lines[4] == "b,2,0.5,3.25,"
     # repr round-trips exactly
     assert float(lines[2].split(",")[3]) == 1.5
+
+
+def test_emit_plotdata_quotes_a_system_id_with_a_comma(tmp_path):
+    # ids come from checkpoint stems; "a,b" once read back as 6 fields
+    recs = [TradeoffRecord("a,b", 1, 0.25, 1.5, None),
+            TradeoffRecord('say "hi"', 2, 0.5, 3.25, None)]
+    p = tmp_path / "plot.csv"
+    emit_plotdata(recs, p)
+    with open(p, newline="", encoding="utf-8") as f:
+        rows = list(csv.reader(f))
+    assert rows[1:] == [["a,b", "1", "0.25", "1.5", ""],
+                        ['say "hi"', "2", "0.5", "3.25", ""]]

@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from simumt import metrics as X
 from simumt import model as M
 from simumt import server as S
+from simumt import sweep as W
 from simumt.cascade import (AudioBlocks, CascadeConfig, CascadeMT, EndpointRule,
                             TimedWord, cascade_decode)
 from simumt.corpus import toy_vocabulary
@@ -480,8 +480,8 @@ def test_s2t_served_scores_equal_the_offline_sweep():
     # references: the offline hypotheses, so BLEU is not zero throughout
     refs = [detok_ids(decode(stream, INFINITE_K).tokens) or "a" for stream in streams]
     sz_values = [1, 3, INFINITE_K]
-    records = X.sweep_s2t([X.S2TSystem("cas", mt, cfg)], sz_values,
-                          X.S2TTestset(streams=streams, references=refs, detokenize=detok_ids))
+    records = W.sweep_s2t([W.S2TSystem("cas", mt, cfg)], sz_values,
+                          W.Testset(sources=streams, references=refs, detokenize=detok_ids))
     testset = S.ServerTestset(mode="s2t", sources=streams, references=refs,
                               detokenize=detok, block_ms=100.0)
     for sz, rec in zip(sz_values, records):
