@@ -62,7 +62,8 @@ for rec in records:
     print(f"{k:>5}  {rec.bleu:7.4f}  {rec.al_words:10.3f}")
 
 # 5. the same table as a diff-stable CSV, as the benchmark CLI writes it
-out = Path(tempfile.mkdtemp()) / "waitk_tradeoff.csv"
-W.emit_plotdata(records, out)
-print(f"\nplot data written to {out}:")
-print(out.read_text(), end="")
+with tempfile.TemporaryDirectory() as tmp:
+    out = Path(tmp) / "waitk_tradeoff.csv"
+    W.emit_plotdata(records, out)
+    print(f"\nplot data written to {out}:")
+    print(out.read_text(), end="")

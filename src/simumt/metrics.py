@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from itertools import chain
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -26,8 +27,12 @@ class BleuBreakdown:
     ref_len: int
 
 
-def _ngrams(tokens: Sequence, n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+def _ngrams(tokens: Sequence, max_n: int) -> Counter:
+    """Counts of the n-grams of ``tokens`` for every n in 1..max_n, each an
+    n-tuple, so orders never share a key: zip over n shifted slices, which
+    yields nothing once n exceeds the length."""
+    return Counter(chain.from_iterable(zip(*[tokens[i:] for i in range(n)])
+                                       for n in range(1, max_n + 1)))
 
 
 def corpus_bleu(hypotheses: Sequence[Sequence], references: Sequence[Sequence],
@@ -53,10 +58,9 @@ def corpus_bleu(hypotheses: Sequence[Sequence], references: Sequence[Sequence],
         hyp_len += len(hyp)
         ref_len += len(ref)
         for n in range(1, max_n + 1):
-            hyp_counts = _ngrams(hyp, n)
-            ref_counts = _ngrams(ref, n)
             totals[n - 1] += max(len(hyp) - n + 1, 0)
-            matches[n - 1] += sum(min(c, ref_counts[g]) for g, c in hyp_counts.items())
+        for gram, clipped in (_ngrams(hyp, max_n) & _ngrams(ref, max_n)).items():
+            matches[len(gram) - 1] += clipped
 
     precisions = [m / t if t > 0 else 0.0 for m, t in zip(matches, totals)]
     if hyp_len == 0 or any(p == 0.0 for p in precisions):

@@ -41,8 +41,13 @@ in place when the newest state is extended (see `EncoderState`), so an
 extension no longer copies the history it attends over.  A call that
 handles one row (every ``decode_step``, and ``encode_prefix`` with one new
 token) carries it as a (d,) vector, so its products are vector-matrix and
-``layer_norm`` takes scalar statistics; outputs are bitwise those of the
-(1, d) form.  Every pass, teacher-forced or streaming, projects through
+its layer norms take scalar statistics; outputs are bitwise those of the
+(1, d) form.  The two streaming functions spend most of their time
+dispatching numpy calls on small rows, so they update in place (biases,
+residuals, ReLU, the layer-norm scale and shift) and multiply with
+``np.dot``, which OpenBLAS computes bit for bit like ``@`` on their
+contiguous weights; every row equals the out-of-place form's, bit for
+bit.  Every pass, teacher-forced or streaming, projects through
 the storage blocks (`storage_groups`): each self-attention projects q, k
 and v with one product by its (d, 3d) block, and memory rows go into
 every decoder layer's cross-attention keys and values with one product.
@@ -351,21 +356,28 @@ def sinusoid_rows(start: int, n: int, d: int) -> np.ndarray:
     return out
 
 
-def layer_norm(x: np.ndarray, g: np.ndarray, b: np.ndarray):
-    """Normalize over the last axis.  The mean is computed once and the
-    centred rows reused, with the same reductions ``x.mean``/``x.var``
-    perform, so results are bitwise those of the two-call form.  A 1-D
-    row (the streaming step) takes scalar statistics, with ``math.sqrt``
-    on its variance; its output is bitwise that of the (1, d) call."""
+def _standardize(x: np.ndarray):
+    """(x - mean) / sqrt(var + eps) over the last axis, and that 1 / sqrt,
+    in one fresh array.  The mean is computed once and the centred rows
+    reused, with the same reductions ``x.mean``/``x.var`` perform, so
+    results are bitwise those of the two-call form.  A (d,) row (the
+    streaming step's) takes scalar statistics, with ``math.sqrt`` on its
+    variance; its output is bitwise that of the (1, d) call."""
     n = x.shape[-1]
     if x.ndim == 1:
-        xc = x - np.add.reduce(x) / n
-        inv = 1.0 / math.sqrt(np.add.reduce(xc * xc) / n + _LN_EPS)
+        xhat = x - np.add.reduce(x) / n
+        inv = 1.0 / math.sqrt(np.add.reduce(xhat * xhat) / n + _LN_EPS)
     else:
-        xc = x - np.add.reduce(x, axis=-1, keepdims=True) / n
-        var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / n
-        inv = 1.0 / np.sqrt(var + _LN_EPS)
-    xhat = xc * inv
+        xhat = x - np.add.reduce(x, axis=-1, keepdims=True) / n
+        inv = 1.0 / np.sqrt(np.add.reduce(xhat * xhat, axis=-1, keepdims=True) / n + _LN_EPS)
+    xhat *= inv
+    return xhat, inv
+
+
+def layer_norm(x: np.ndarray, g: np.ndarray, b: np.ndarray):
+    """Normalize over the last axis (`_standardize`), then scale and shift;
+    returns (y, backward cache)."""
+    xhat, inv = _standardize(x)
     y = xhat * g
     y += b
     return y, (xhat, inv, g)
@@ -406,17 +418,6 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.transpose(0, 2, 1, 3).reshape(b, m, h * dh)
 
 
-def _masked_softmax(scores: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis, computed in place in ``scores`` (a
-    fresh array of the caller's); -inf entries come out exactly 0.  The
-    ufunc reductions are what ``.max``/``.sum`` call, without their Python
-    wrappers."""
-    scores -= np.maximum.reduce(scores, axis=-1, keepdims=True)
-    np.exp(scores, out=scores)
-    scores /= np.add.reduce(scores, axis=-1, keepdims=True)
-    return scores
-
-
 def causal_mask(m: int, n: int, offset: int = 0) -> np.ndarray:
     """Additive mask letting query row i see key columns <= i + offset."""
     rows = np.arange(m)[:, None] + offset
@@ -433,14 +434,20 @@ def visibility_mask(visible: np.ndarray, n: int) -> np.ndarray:
 def _attend(qh: np.ndarray, kh: np.ndarray, vh: np.ndarray, mask: np.ndarray | None):
     """The attention core over heads, (..., H, m, d_head) queries against
     (..., H, n, d_head) keys and values: scaled scores, the additive
-    ``mask`` ((..., m, n), the same for every head), softmax.  Returns
-    (p, p @ vh)."""
+    ``mask``, softmax.  ``mask`` is (..., m, n'), the same for every head,
+    and covers the last n' <= n key columns; every query sees the columns
+    before them.  The softmax runs in place in the scores, with the ufunc
+    reductions ``.max``/``.sum`` call, and -inf entries come out exactly
+    0.  Returns (p, p @ vh)."""
     scores = qh @ kh.swapaxes(-1, -2)
     scores *= 1.0 / math.sqrt(qh.shape[-1])
     if mask is not None:
-        scores += mask[..., None, :, :]
-    p = _masked_softmax(scores)
-    return p, p @ vh
+        masked = scores[..., -mask.shape[-1]:]
+        masked += mask[..., None, :, :]
+    scores -= np.maximum.reduce(scores, axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= np.add.reduce(scores, axis=-1, keepdims=True)
+    return scores, scores @ vh
 
 
 def attention(params: Parameters, prefix: str, x: np.ndarray, mask: np.ndarray | None,
@@ -554,13 +561,14 @@ def _position_rows(start: int, n: int, d: int) -> np.ndarray:
 def _embed(params: Parameters, name: str, ids, start_pos: int) -> np.ndarray:
     """Scaled embeddings plus positions, position start_pos at column 0:
     ids (n,) or (B, n) give (n, d) or (B, n, d) rows, one int id a (d,)
-    row."""
+    row, which takes its position in place."""
     d = params.config.d_model
-    if np.ndim(ids) == 0:
-        pos = _position_rows(start_pos, 1, d)[0]
-    else:
+    if isinstance(ids, np.ndarray) and ids.ndim:
         pos = _position_rows(start_pos, ids.shape[-1], d)
-    return params.tensors[name][ids] * math.sqrt(d) + pos
+        return params.tensors[name][ids] * math.sqrt(d) + pos
+    h = params.tensors[name][ids] * math.sqrt(d)
+    h += _position_rows(start_pos, 1, d)[0]
+    return h
 
 
 def _embed_backward(params: Parameters, name: str, ids: np.ndarray,
@@ -915,15 +923,18 @@ def encode_prefix(params: Parameters, new_tokens: Sequence[int],
     """Extend (or start) an encoder state with a block of source tokens.
 
     Returns a new state; ``state`` is unchanged.  Only the new rows are
-    computed: they attend over the cached keys/values of earlier rows.
-    Encoding a sequence in any block split yields the same rows as
-    encoding it in one call up to rounding: a block's products are
-    matrix-matrix where one row's are vector-matrix, so rows can differ
-    in the last bits (by at most 1e-12 in tests; about 4e-15 on the
-    benchmark fixture).  One new token travels as a (d,) row, so every
-    product is a vector-matrix one.  Each self-attention projects q|k|v
-    in one product, and the new memory rows are projected into every
-    decoder layer's cross-attention keys and values in one product.
+    computed: they attend over the cached keys/values of earlier rows, and
+    a block's causal mask covers its own key columns only.  Encoding a
+    sequence in any block split yields the same rows as encoding it in one
+    call up to rounding: a block's products are matrix-matrix where one
+    row's are vector-matrix, so rows can differ in the last bits (by at
+    most 1e-12 in tests; about 4e-15 on the benchmark fixture).  One new
+    token travels as a (d,) row, so every product is a vector-matrix one.
+    Each self-attention projects q|k|v in one product, and the new memory
+    rows are projected into every decoder layer's cross-attention keys
+    and values in one product.  Biases, residuals and the ReLU are applied
+    in place.  An id outside the source vocabulary raises ValueError
+    before any buffer is written.
     """
     cfg = params.config
     t, blocks = params.tensors, params.blocks
@@ -931,33 +942,36 @@ def encode_prefix(params: Parameters, new_tokens: Sequence[int],
     new_ids = np.asarray(new_tokens, dtype=np.int64)
     if new_ids.ndim != 1 or len(new_ids) == 0:
         raise ValueError("need at least one new token")
+    if not (0 <= np.minimum.reduce(new_ids) and np.maximum.reduce(new_ids) < cfg.src_vocab_size):
+        bad = new_ids[(new_ids < 0) | (new_ids >= cfg.src_vocab_size)][0]
+        raise ValueError(f"source id {bad} outside [0, {cfg.src_vocab_size})")
     if state is None:
         state = _empty_encoder_state(params)
+    m = len(new_ids)
     z0 = state.n_tokens
-    z = z0 + len(new_ids)
+    z = z0 + m
 
-    rows = _writable_rows(state.rows, z0, len(new_ids))
+    rows = _writable_rows(state.rows, z0, m)
     enc_kv, memory, cross_kv = rows.arrays
     # one new row may see every key: its causal mask is all zeros
-    if len(new_ids) == 1:
+    if m == 1:
         h, mask = _embed(params, params.src_embed_name, new_ids[0], z0), None
     else:
-        h = _embed(params, params.src_embed_name, new_ids, z0)
-        mask = causal_mask(len(new_ids), z, offset=z0)
+        h, mask = _embed(params, params.src_embed_name, new_ids, z0), causal_mask(m, m)
     layers = zip(_layer_keys("enc", cfg.n_enc_layers, _ENC_LAYER),
                  _layer_keys("enc", cfg.n_enc_layers, _ENC_QKV))
     for l, (keys, (wqkv, bqkv)) in enumerate(layers):
         g1, b1, wo, bo, g2, b2, w1, fb1, w2, fb2 = [t[k] for k in keys]
-        a_in, _ = layer_norm(h, g1, b1)
-        qkv = a_in @ blocks[wqkv] + blocks[bqkv]
+        qkv = np.dot(_norm(h, g1, b1), blocks[wqkv])
+        qkv += blocks[bqkv]
         kv = enc_kv[l, :, :, :z]
         kv[:, :, z0:] = qkv[..., d:].reshape(-1, 2, n_heads, dh).transpose(1, 2, 0, 3)
-        h = h + _attend_precomputed(qkv[..., :d], wo, bo, kv[0], kv[1], mask)
-        f_in, _ = layer_norm(h, g2, b2)
-        h = h + _ffn_out(f_in, w1, fb1, w2, fb2)
-    mem_rows, _ = layer_norm(h, t["enc.final_ln.g"], t["enc.final_ln.b"])
+        h += _attend_precomputed(qkv[..., :d], wo, bo, kv[0], kv[1], mask)
+        h += _ffn_out(_norm(h, g2, b2), w1, fb1, w2, fb2)
+    mem_rows = _norm(h, t["enc.final_ln.g"], t["enc.final_ln.b"])
     memory[z0:z] = mem_rows
-    ckv = mem_rows @ blocks["dec.cross_attn.wkv"] + blocks["dec.cross_attn.bkv"]
+    ckv = np.dot(mem_rows, blocks["dec.cross_attn.wkv"])
+    ckv += blocks["dec.cross_attn.bkv"]
     cross_kv[..., z0:z, :] = (ckv.reshape(-1, cfg.n_dec_layers, 2, n_heads, dh)
                               .transpose(1, 2, 3, 0, 4))
     rows.filled = z
@@ -991,19 +1005,24 @@ def decode_step(params: Parameters, enc_state: EncoderState,
     """One greedy-decoding step.
 
     ``visible`` counts encoder rows (marker included when exposed) and
-    must be in [1, enc_state.n_tokens].  The cached cross-attention keys
-    and values are sliced to that prefix before any computation, so the
-    result is bitwise identical no matter what lies beyond.  The hidden
-    row travels as a (d,) vector from the embedding to the logits.
-    Returns (logprobs (V,), new DecoderState); inputs are not mutated.
+    must be in [1, enc_state.n_tokens]; ``prev_token`` must be a target
+    id, in [0, tgt_vocab_size).  Either check raises ValueError before
+    any buffer is written.  The cached cross-attention keys and values
+    are sliced to that prefix before any computation, so the result is
+    bitwise identical no matter what lies beyond.  The hidden row travels
+    as a (d,) vector from the embedding to the logits; biases, residuals
+    and the ReLU are applied to it in place.  Returns (logprobs (V,), new
+    DecoderState); inputs are not mutated.
     """
     cfg = params.config
     t, blocks = params.tensors, params.blocks
     n_heads, dh, d = cfg.n_heads, cfg.head_dim, cfg.d_model
-    if dec_state is None:
-        dec_state = empty_decoder_state(params)
     if not 1 <= visible <= enc_state.n_tokens:
         raise ValueError(f"visible={visible} outside [1, {enc_state.n_tokens}]")
+    if not 0 <= prev_token < cfg.tgt_vocab_size:
+        raise ValueError(f"target id {prev_token} outside [0, {cfg.tgt_vocab_size})")
+    if dec_state is None:
+        dec_state = empty_decoder_state(params)
     step = dec_state.step
 
     h = _embed(params, params.tgt_embed_name, prev_token, step)
@@ -1015,19 +1034,28 @@ def decode_step(params: Parameters, enc_state: EncoderState,
     for l, (keys, (wqkv, bqkv)) in enumerate(layers):
         (g1, b1, wo, bo, g2, b2, cwq, cbq, cwo, cbo,
          g3, b3, w1, fb1, w2, fb2) = [t[k] for k in keys]
-        a_in, _ = layer_norm(h, g1, b1)
-        qkv = a_in @ blocks[wqkv] + blocks[bqkv]
+        qkv = np.dot(_norm(h, g1, b1), blocks[wqkv])
+        qkv += blocks[bqkv]
         kv = self_kv[l]
         kv[:, :, step] = qkv[d:].reshape(2, n_heads, dh)
-        h = h + _attend_precomputed(qkv[:d], wo, bo, kv[0], kv[1])
-        c_in, _ = layer_norm(h, g2, b2)
-        h = h + _attend_precomputed(c_in @ cwq + cbq, cwo, cbo, cross_kv[l, 0], cross_kv[l, 1])
-        f_in, _ = layer_norm(h, g3, b3)
-        h = h + _ffn_out(f_in, w1, fb1, w2, fb2)
-    hf, _ = layer_norm(h, t["dec.final_ln.g"], t["dec.final_ln.b"])
-    logp = log_softmax(hf @ t[params.out_proj_name].T)
+        h += _attend_precomputed(qkv[:d], wo, bo, kv[0], kv[1])
+        q = np.dot(_norm(h, g2, b2), cwq)
+        q += cbq
+        h += _attend_precomputed(q, cwo, cbo, cross_kv[l, 0], cross_kv[l, 1])
+        h += _ffn_out(_norm(h, g3, b3), w1, fb1, w2, fb2)
+    hf = _norm(h, t["dec.final_ln.g"], t["dec.final_ln.b"])
+    logp = log_softmax(np.dot(hf, t[params.out_proj_name].T))
     rows.filled = step + 1
     return logp, DecoderState(rows, step + 1)
+
+
+def _norm(x: np.ndarray, g: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`layer_norm`'s output alone, scaled and shifted in place, for the
+    streaming passes (no backward cache)."""
+    y, _ = _standardize(x)
+    y *= g
+    y += b
+    return y
 
 
 def _attend_precomputed(q: np.ndarray, wo, bo, kh: np.ndarray, vh: np.ndarray,
@@ -1035,16 +1063,30 @@ def _attend_precomputed(q: np.ndarray, wo, bo, kh: np.ndarray, vh: np.ndarray,
     """Attention of projected queries q, (d,) for one row or (m, d), over
     keys and values already projected and split into heads, (H, n, d_head)
     (the streaming caches), through the output projection; the output has
-    q's shape.  Without a mask every query sees every key.  Heads are split
-    and merged inline around `_attend`: one sentence needs no batch axis."""
+    q's shape.  ``mask`` is as `_attend` takes it; without one every query
+    sees every key.  Heads are split and merged inline around `_attend`:
+    one sentence needs no batch axis, and a (d,) row needs one reshape
+    each way."""
     n_heads, _, dh = kh.shape
-    _, ah = _attend(q.reshape(-1, n_heads, dh).swapaxes(0, 1), kh, vh, mask)
-    return ah.swapaxes(0, 1).reshape(q.shape) @ wo + bo
+    if q.ndim == 1:
+        _, ah = _attend(q.reshape(n_heads, 1, dh), kh, vh, mask)
+        a = ah.reshape(q.shape)
+    else:
+        _, ah = _attend(q.reshape(-1, n_heads, dh).swapaxes(0, 1), kh, vh, mask)
+        a = ah.swapaxes(0, 1).reshape(q.shape)
+    out = np.dot(a, wo)
+    out += bo
+    return out
 
 
 def _ffn_out(x: np.ndarray, w1, b1, w2, b2) -> np.ndarray:
-    """`ffn`'s output alone, for the streaming step (no backward cache)."""
-    return np.maximum(x @ w1 + b1, 0.0) @ w2 + b2
+    """`ffn`'s output alone, for the streaming passes (no backward cache)."""
+    h = np.dot(x, w1)
+    h += b1
+    np.maximum(h, 0.0, out=h)
+    out = np.dot(h, w2)
+    out += b2
+    return out
 
 
 # ---------------------------------------------------------------------------

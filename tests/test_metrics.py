@@ -1,5 +1,7 @@
 import ast
 import math
+import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -71,6 +73,51 @@ def test_bleu_validation():
         X.corpus_bleu([["a"]], [["a"], ["b"]])
     with pytest.raises(ValueError):
         X.corpus_bleu([["a"]], [["a"]], max_n=0)
+
+
+def reference_bleu(hypotheses, references, max_n=4):
+    """corpus_bleu as first written: n-grams counted with a generator of
+    slices, clipped one n-gram at a time."""
+    def ngrams(tokens, n):
+        return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+
+    matches, totals = [0] * max_n, [0] * max_n
+    hyp_len = ref_len = 0
+    for hyp, ref in zip(hypotheses, references):
+        hyp, ref = list(hyp), list(ref)
+        hyp_len += len(hyp)
+        ref_len += len(ref)
+        for n in range(1, max_n + 1):
+            hyp_counts, ref_counts = ngrams(hyp, n), ngrams(ref, n)
+            totals[n - 1] += max(len(hyp) - n + 1, 0)
+            matches[n - 1] += sum(min(c, ref_counts[g]) for g, c in hyp_counts.items())
+    precisions = [m / t if t > 0 else 0.0 for m, t in zip(matches, totals)]
+    if hyp_len == 0 or any(p == 0.0 for p in precisions):
+        geo = 0.0
+    else:
+        geo = math.exp(math.fsum(math.log(p) for p in precisions) / max_n)
+    bp = 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / max(hyp_len, 1))
+    if hyp_len == 0:
+        bp = 0.0
+    return X.BleuBreakdown(score=geo * bp, precisions=tuple(precisions),
+                           brevity_penalty=bp, hyp_len=hyp_len, ref_len=ref_len)
+
+
+def test_bleu_equals_the_reference_field_for_field():
+    rng = random.Random(5)
+    words = "a b c d e".split()
+    for _ in range(300):
+        size = rng.randint(1, 8)
+        # short lengths: empty hypotheses and ones shorter than n are common
+        hyps = [[rng.choice(words) for _ in range(rng.choice([0, 1, 2, 3, 5, 9]))]
+                for _ in range(size)]
+        refs = [h[:] if rng.random() < 0.3
+                else [rng.choice(words) for _ in range(rng.randint(0, 9))] for h in hyps]
+        if rng.random() < 0.3:
+            hyps = [tuple(h) for h in hyps]
+        max_n = rng.choice([1, 2, 4, 6])
+        got, want = X.corpus_bleu(hyps, refs, max_n), reference_bleu(hyps, refs, max_n)
+        assert got == want and repr(got) == repr(want)
 
 
 # ---------------------------------------------------------------------------

@@ -609,6 +609,197 @@ def test_decode_step_purity_and_validation():
         M.decode_step(params, enc, None, BOS, 4)
 
 
+def test_streaming_refuses_ids_outside_the_vocabulary():
+    # a negative id would index from the end of the embedding and an id of
+    # vocab size past it; both functions refuse them before writing a row
+    params = M.init_parameters(M.ModelConfig(src_vocab_size=12, tgt_vocab_size=16, d_model=16,
+                                             n_heads=2, joint_vocabulary=False), seed=0)
+    enc = M.encode_prefix(params, [4, 5, 6])
+    _, dec = M.decode_step(params, enc, None, BOS, 2)
+    before = [a.copy() for a in enc.rows.arrays + dec.rows.arrays]
+    for ids in ([-1, 2], [4, 12], [-1], [12], [11, 4, 99]):
+        with pytest.raises(ValueError, match="outside"):
+            M.encode_prefix(params, ids, enc)
+        with pytest.raises(ValueError, match="outside"):
+            M.encode_prefix(params, ids)
+    for tok in (-1, 16, 99):
+        for state in (None, dec):
+            with pytest.raises(ValueError, match="outside"):
+                M.decode_step(params, enc, state, tok, 2)
+    after = enc.rows.arrays + dec.rows.arrays
+    # whole buffers, unused capacity (np.empty, NaN or not) included
+    assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(after, before, strict=True))
+    assert enc.rows.filled == 3 and dec.rows.filled == 1
+    M.encode_prefix(params, [0, 11], enc)               # the bounds themselves are ids
+    M.decode_step(params, enc, dec, 15, 3)
+
+
+# ---------------------------------------------------------------------------
+# reference streaming kernels: encode_prefix and decode_step written with
+# one fresh array per operation, as they stood before their bodies moved to
+# in-place updates and np.dot; the model must equal them bit for bit
+
+def ref_norm(x, g, b):
+    n = x.shape[-1]
+    if x.ndim == 1:
+        xc = x - np.add.reduce(x) / n
+        inv = 1.0 / math.sqrt(np.add.reduce(xc * xc) / n + 1e-5)
+    else:
+        xc = x - np.add.reduce(x, axis=-1, keepdims=True) / n
+        var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / n
+        inv = 1.0 / np.sqrt(var + 1e-5)
+    return xc * inv * g + b
+
+
+def ref_attend(q, wo, bo, kh, vh, mask=None):
+    """Attention of projected queries q, (d,) or (m, d), over (H, n, d_head)
+    heads; ``mask`` spans all n key columns."""
+    n_heads, _, dh = kh.shape
+    scores = q.reshape(-1, n_heads, dh).swapaxes(0, 1) @ kh.swapaxes(-1, -2)
+    scores *= 1.0 / math.sqrt(dh)
+    if mask is not None:
+        scores += mask[None]
+    scores -= np.maximum.reduce(scores, axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= np.add.reduce(scores, axis=-1, keepdims=True)
+    return (scores @ vh).swapaxes(0, 1).reshape(q.shape) @ wo + bo
+
+
+def ref_ffn(x, w1, b1, w2, b2):
+    return np.maximum(x @ w1 + b1, 0.0) @ w2 + b2
+
+
+def ref_embed(params, name, ids, start):
+    d = params.config.d_model
+    pos = M.sinusoid_rows(start, np.size(ids), d)
+    return params.tensors[name][ids] * math.sqrt(d) + (pos[0] if np.ndim(ids) == 0 else pos)
+
+
+def ref_encode_prefix(params, new_tokens, state=None):
+    cfg, t, blocks = params.config, params.tensors, params.blocks
+    n_heads, dh, d = cfg.n_heads, cfg.head_dim, cfg.d_model
+    new_ids = np.asarray(new_tokens, dtype=np.int64)
+    if state is None:
+        state = M._empty_encoder_state(params)
+    z0 = state.n_tokens
+    z = z0 + len(new_ids)
+    rows = M._writable_rows(state.rows, z0, len(new_ids))
+    enc_kv, memory, cross_kv = rows.arrays
+    if len(new_ids) == 1:
+        h, mask = ref_embed(params, params.src_embed_name, new_ids[0], z0), None
+    else:
+        h = ref_embed(params, params.src_embed_name, new_ids, z0)
+        mask = M.causal_mask(len(new_ids), z, offset=z0)
+    for l in range(cfg.n_enc_layers):
+        p = f"enc.{l}."
+        a_in = ref_norm(h, t[p + "ln1.g"], t[p + "ln1.b"])
+        qkv = a_in @ blocks[p + "attn.wqkv"] + blocks[p + "attn.bqkv"]
+        kv = enc_kv[l, :, :, :z]
+        kv[:, :, z0:] = qkv[..., d:].reshape(-1, 2, n_heads, dh).transpose(1, 2, 0, 3)
+        h = h + ref_attend(qkv[..., :d], t[p + "attn.wo"], t[p + "attn.bo"], kv[0], kv[1], mask)
+        f_in = ref_norm(h, t[p + "ln2.g"], t[p + "ln2.b"])
+        h = h + ref_ffn(f_in, *(t[p + "ffn." + w] for w in ("w1", "b1", "w2", "b2")))
+    mem_rows = ref_norm(h, t["enc.final_ln.g"], t["enc.final_ln.b"])
+    memory[z0:z] = mem_rows
+    ckv = mem_rows @ blocks["dec.cross_attn.wkv"] + blocks["dec.cross_attn.bkv"]
+    cross_kv[..., z0:z, :] = (ckv.reshape(-1, cfg.n_dec_layers, 2, n_heads, dh)
+                              .transpose(1, 2, 3, 0, 4))
+    rows.filled = z
+    return M.EncoderState(rows, z)
+
+
+def ref_decode_step(params, enc_state, dec_state, prev_token, visible):
+    cfg, t, blocks = params.config, params.tensors, params.blocks
+    n_heads, dh, d = cfg.n_heads, cfg.head_dim, cfg.d_model
+    if dec_state is None:
+        dec_state = M.empty_decoder_state(params)
+    step = dec_state.step
+    h = ref_embed(params, params.tgt_embed_name, prev_token, step)
+    rows = M._writable_rows(dec_state.rows, step, 1)
+    self_kv = rows.arrays[0][:, :, :, : step + 1]
+    cross_kv = enc_state.rows.arrays[2][:, :, :, :visible]
+    for l in range(cfg.n_dec_layers):
+        p = f"dec.{l}."
+        a_in = ref_norm(h, t[p + "ln1.g"], t[p + "ln1.b"])
+        qkv = a_in @ blocks[p + "self_attn.wqkv"] + blocks[p + "self_attn.bqkv"]
+        kv = self_kv[l]
+        kv[:, :, step] = qkv[d:].reshape(2, n_heads, dh)
+        h = h + ref_attend(qkv[:d], t[p + "self_attn.wo"], t[p + "self_attn.bo"], kv[0], kv[1])
+        c_in = ref_norm(h, t[p + "ln2.g"], t[p + "ln2.b"])
+        q = c_in @ t[p + "cross_attn.wq"] + t[p + "cross_attn.bq"]
+        h = h + ref_attend(q, t[p + "cross_attn.wo"], t[p + "cross_attn.bo"],
+                           cross_kv[l, 0], cross_kv[l, 1])
+        f_in = ref_norm(h, t[p + "ln3.g"], t[p + "ln3.b"])
+        h = h + ref_ffn(f_in, *(t[p + "ffn." + w] for w in ("w1", "b1", "w2", "b2")))
+    logits = ref_norm(h, t["dec.final_ln.g"], t["dec.final_ln.b"]) @ t[params.out_proj_name].T
+    mx = np.maximum.reduce(logits, axis=-1, keepdims=True)
+    logp = logits - (np.log(np.add.reduce(np.exp(logits - mx), axis=-1, keepdims=True)) + mx)
+    rows.filled = step + 1
+    return logp, M.DecoderState(rows, step + 1)
+
+
+def _rows_equal(got, want, n):
+    """The first n rows of every buffer two states hold are bitwise equal."""
+    return all(a.shape[:-2] == b.shape[:-2] and np.array_equal(a[..., :n, :], b[..., :n, :])
+               for a, b in zip(got.rows.arrays, want.rows.arrays, strict=True))
+
+
+@pytest.mark.parametrize("n_heads,joint,tied", [(1, True, True), (4, True, False),
+                                                (4, False, True), (1, False, False),
+                                                (4, True, True)])
+def test_streaming_kernels_equal_the_reference_bit_for_bit(n_heads, joint, tied):
+    rng = np.random.default_rng(100 + 10 * n_heads + 2 * joint + tied)
+    v_src = int(rng.integers(5, 24))
+    v_tgt = v_src if joint else int(rng.integers(5, 24))
+    cfg = M.ModelConfig(src_vocab_size=v_src, tgt_vocab_size=v_tgt,
+                        d_model=n_heads * int(rng.choice([2, 4, 8, 16])), n_heads=n_heads,
+                        n_enc_layers=int(rng.integers(1, 3)), n_dec_layers=int(rng.integers(1, 3)),
+                        d_ffn=int(rng.integers(3, 40)), joint_vocabulary=joint,
+                        tie_decoder_embeddings=tied)
+    params = M.init_parameters(cfg, seed=int(rng.integers(1000)))
+    params.vector += 0.3 * rng.normal(size=params.vector.shape)  # biases, gains off 0 and 1
+
+    def steps(pair, dec_pair, n_steps, visible_of):
+        """Decode n_steps from dec_pair on both sides; returns the chain of
+        (model, reference) decoder states."""
+        chain = [dec_pair]
+        for i in range(n_steps):
+            (enc, ref), (dec, rdec) = pair, chain[-1]
+            prev, visible = int(rng.integers(0, v_tgt)), visible_of(i)
+            lp, dec = M.decode_step(params, enc, dec, prev, visible)
+            want, rdec = ref_decode_step(params, ref, rdec, prev, visible)
+            assert np.array_equal(lp, want) and dec.step == rdec.step
+            assert _rows_equal(dec, rdec, dec.step)
+            chain.append((dec, rdec))
+        return chain
+
+    for _ in range(3):
+        n = int(rng.integers(2, 70))                  # past several capacity doublings
+        x = rng.integers(0, v_src, size=n)
+        encs, i = [(None, None)], 0
+        while i < n:
+            j = min(n, i + int(rng.choice([1, 1, 1, 2, 3, 5, 9, 17])))
+            enc, ref = encs[-1]
+            enc, ref = M.encode_prefix(params, x[i:j], enc), ref_encode_prefix(params, x[i:j], ref)
+            assert enc.n_tokens == ref.n_tokens == j and _rows_equal(enc, ref, j)
+            encs.append((enc, ref))
+            steps(encs[-1], (None, None), 2, lambda _: int(rng.integers(1, j + 1)))
+            i = j
+        # extend older states by one token and by a block
+        for m in (1, int(rng.integers(2, 12))) if len(encs) > 2 else ():
+            at = int(rng.integers(1, len(encs) - 1))
+            (old, old_ref), tail = encs[at], rng.integers(0, v_src, size=m)
+            enc, ref = M.encode_prefix(params, tail, old), ref_encode_prefix(params, tail, old_ref)
+            assert _rows_equal(enc, ref, old.n_tokens + m)
+        # every visible in 1..n, the decoder buffers past their doublings,
+        # then steps replayed from older decoder states
+        order = rng.permutation(n) + 1
+        chain = steps(encs[-1], (None, None), n + 12, lambda s: int(order[s % n]))
+        for _ in range(4):
+            back = chain[int(rng.integers(0, len(chain) - 1))]
+            steps(encs[-1], back, 3, lambda _: int(rng.integers(1, n + 1)))
+
+
 def test_checkpoint_roundtrip(tmp_path):
     params = small_params(seed=9)
     # make values less tidy than the init distribution

@@ -15,9 +15,13 @@ compute, bit for bit, the same:
 - `forward`: one sentence's `forward_full` log-probs;
 - `offline`: `offline_greedy_decode` tokens and the encoder memory of the
   fixture model on sweep sources;
-- `online`: `online_greedy_decode` tokens and g at k = 1, 3 and infinity;
+- `online`: `online_greedy_decode` tokens, g and every log-prob row its
+  session produced at k = 1, 3 and infinity;
 - `streaming`: memory after a block then a one-token `encode_prefix`, and
-  two `decode_step` log-prob rows.
+  two `decode_step` log-prob rows;
+- `cascade`: `cascade_decode` tokens, g (reads and ms) and every log-prob
+  row over the benchmark's spoken documents at sz 1 and 5, which extend
+  the source block by block past 256 rows.
 
 A change meant to leave every number alone shows it by an equal overall
 digest on its parent and on itself.  The digest depends on the BLAS build,
@@ -41,6 +45,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import numpy as np  # noqa: E402
 
 import workloads as W  # noqa: E402
+from simumt import cascade as C  # noqa: E402
 from simumt import model as M  # noqa: E402
 from simumt import online as O  # noqa: E402
 from simumt import training as T  # noqa: E402
@@ -52,6 +57,7 @@ SINGLE_K = 3
 GRAD_K = 2
 K_VALUES = (1, 3, T.INFINITE_K)
 N_SOURCES = 12
+SZ_VALUES = (1, 5)
 
 
 def _encode(value) -> bytes:
@@ -60,6 +66,19 @@ def _encode(value) -> bytes:
     if isinstance(value, np.ndarray):
         return f"{value.dtype.str}{value.shape}".encode() + np.ascontiguousarray(value).tobytes()
     return repr(value).encode()
+
+
+class RecordingSession(O.ModelSession):
+    """A `ModelSession` that keeps every log-prob row it hands out."""
+
+    def __init__(self, params: M.Parameters):
+        super().__init__(params)
+        self.rows: list[np.ndarray] = []
+
+    def next_logprobs(self, visible: int) -> np.ndarray:
+        logp = super().next_logprobs(visible)
+        self.rows.append(logp)
+        return logp
 
 
 def digests() -> dict[str, str]:
@@ -96,13 +115,23 @@ def digests() -> dict[str, str]:
         mem, _ = M.encoder_forward(fixture, M.with_source_marker(src))
         add("offline", tokens, mem)
         for k in K_VALUES:
-            tokens, trace = O.online_greedy_decode(fixture, src, O.OnlinePolicy(k_eval=k))
-            add("online", k, tokens, trace.g_values())
+            session = RecordingSession(fixture)
+            tokens, trace = O.online_greedy_decode([session], src, O.OnlinePolicy(k_eval=k))
+            add("online", k, tokens, trace.g_values(), *session.rows)
         enc = M.encode_prefix(fixture, src)
         enc = M.encode_prefix(fixture, [EOS], enc)
         lp1, dec = M.decode_step(fixture, enc, None, BOS, enc.n_tokens - 1)
         lp2, _ = M.decode_step(fixture, enc, dec, int(np.argmax(lp1)), enc.n_tokens)
         add("streaming", np.array(enc.memory), lp1, lp2)
+
+    for doc in W.speech_documents(SEEDS[0]):
+        for sz in SZ_VALUES:
+            session = RecordingSession(fixture)
+            mt = C.CascadeMT(models=[session], encode_source=W.encode_copy_source)
+            res = C.cascade_decode(doc.words, mt, C.CascadeConfig(sz=sz))
+            writes = res.trace.writes()
+            add("cascade", sz, res.tokens, [w.g_tokens for w in writes],
+                [w.g_ms for w in writes], session.n_encoded, *session.rows)
 
     out = {name: h.hexdigest() for name, h in parts.items()}
     overall = hashlib.sha256()
