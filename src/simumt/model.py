@@ -563,12 +563,13 @@ def _embed(params: Parameters, name: str, ids, start_pos: int) -> np.ndarray:
     ids (n,) or (B, n) give (n, d) or (B, n, d) rows, one int id a (d,)
     row, which takes its position in place."""
     d = params.config.d_model
-    if isinstance(ids, np.ndarray) and ids.ndim:
-        pos = _position_rows(start_pos, ids.shape[-1], d)
-        return params.tensors[name][ids] * math.sqrt(d) + pos
-    h = params.tensors[name][ids] * math.sqrt(d)
-    h += _position_rows(start_pos, 1, d)[0]
-    return h
+    if isinstance(ids, (int, np.integer)):
+        h = params.tensors[name][ids] * math.sqrt(d)
+        h += _position_rows(start_pos, 1, d)[0]
+        return h
+    ids = np.asarray(ids)
+    pos = _position_rows(start_pos, ids.shape[-1], d)
+    return params.tensors[name][ids] * math.sqrt(d) + pos
 
 
 def _embed_backward(params: Parameters, name: str, ids: np.ndarray,

@@ -261,13 +261,10 @@ def read_write_decode(models, source, policy, on_write=None,
 
     ``models`` is a Parameters, a list of Parameters, or session objects
     exposing extend_source/next_logprobs/commit/reset_target (all members
-    advance in lock step); next_logprobs returns a float64 (V,) array.  A
-    lone session's row is written from as it is, the row
-    `ensemble_logprobs` would return for it.  Returns (tokens, trace):
-    tokens exclude the final EOS, the trace includes its write.
+    advance in lock step).  Returns (tokens, trace): tokens exclude the
+    final EOS, the trace includes its write.
     """
     sessions = _sessions(models)
-    single = sessions[0] if len(sessions) == 1 else None
     events: list = []
     tokens: list[int] = []
     units = observed = 0
@@ -293,10 +290,7 @@ def read_write_decode(models, source, policy, on_write=None,
         if spent:
             return tokens, ActionTrace(events=tuple(events), truncated=True)
         rows = observed + 1 if ended else observed
-        if single is not None:
-            logp = single.next_logprobs(rows)
-        else:
-            logp = ensemble_logprobs([s.next_logprobs(rows) for s in sessions])
+        logp = ensemble_logprobs([s.next_logprobs(rows) for s in sessions])
         tok = int(logp.argmax())
         for s in sessions:
             s.commit(tok)

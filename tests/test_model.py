@@ -555,6 +555,10 @@ def test_position_table_slices_equal_sinusoid_rows_across_doublings():
     ids = np.array([[4, 5, 6], [7, 8, 9]])
     want = params.tensors["embed"][ids] * math.sqrt(16) + M.sinusoid_rows(40, 3, 16)
     assert np.array_equal(M._embed(params, "embed", ids, 40), want)
+    # a list of ids takes one position per column, like an array of them
+    assert np.array_equal(M._embed(params, "embed", [7, 8, 9], 40), want[1])
+    for one in (8, np.int64(8)):
+        assert np.array_equal(M._embed(params, "embed", one, 41), want[1, 1])
 
 
 def test_encoder_is_causal_bitwise():
