@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .vocab import SPECIAL_TOKENS, UNK, UNK_TOKEN, Vocabulary
+from .vocab import SPECIAL_TOKENS, UNK_TOKEN, Vocabulary
 
 WORD_END = "</w>"
 
@@ -82,12 +82,14 @@ class BpeModel:
         """Subword ids for ``text``; symbols outside the vocabulary map to UNK."""
         return [self.vocab.id(s) for s in self.encode_tokens(text)]
 
+    def detokenize(self, tokens) -> str:
+        """Text of subword token strings: each end-of-word marker becomes a
+        space, and ``<unk>`` stands as a word of its own."""
+        return "".join(UNK_TOKEN + " " if t == UNK_TOKEN else t.replace(WORD_END, " ")
+                       for t in tokens).strip()
+
     def decode(self, ids) -> str:
-        parts = []
-        for i in ids:
-            tok = self.vocab.token(i)
-            parts.append(UNK_TOKEN + " " if i == UNK else tok.replace(WORD_END, " "))
-        return "".join(parts).strip()
+        return self.detokenize(self.vocab.decode_ids(ids))
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as f:

@@ -67,6 +67,19 @@ def _load_models(paths: list[str]) -> list[model.Parameters]:
     return [model.load_checkpoint(p) for p in paths]
 
 
+def _system_ids(paths: list[str], reserved: str | None) -> list[str]:
+    """A sweep system id per checkpoint path, one id for a path given
+    twice: its file stem, or where another path or ``reserved`` has that
+    stem, the shortest path suffix (file stem last) they do not share."""
+    parts = {k: Path(k).parent.parts + (Path(k).stem,) for k in map(os.path.abspath, paths)}
+    ids = {}
+    for k, own in parts.items():
+        others = [p for o, p in parts.items() if o != k] + [(reserved,)]
+        n = next(n for n in range(1, len(own) + 1) if all(p[-n:] != own[-n:] for p in others))
+        ids[k] = Path(*own[-n:]).as_posix()
+    return [ids[os.path.abspath(p)] for p in paths]
+
+
 def _policy(args) -> online.OnlinePolicy:
     k = _parse_k_list(args.k)
     if len(k) != 1:
@@ -238,9 +251,11 @@ def _cmd_sweep(args) -> int:
         detokenize=subword.decode,
     )
     models = _load_models(args.model)
-    systems = [sweep.T2TSystem(system_id=Path(p).stem, models=[m])
-               for p, m in zip(args.model, models)]
-    if args.ensemble and len(models) > 1:
+    ensemble = args.ensemble and len(models) > 1
+    ids = _system_ids(args.model, "ensemble" if ensemble else None)
+    systems = [sweep.T2TSystem(system_id=i, models=[models[ids.index(i)]])
+               for i in dict.fromkeys(ids)]
+    if ensemble:
         systems.append(sweep.T2TSystem(system_id="ensemble", models=models))
     records = sweep.sweep_t2t(systems, _parse_k_list(args.k), testset)
     header = runconfig.artifact_header(
@@ -260,7 +275,7 @@ def _cmd_serve(args) -> int:
         mode="t2t",
         sources=[subword.encode_tokens(s) for s, _ in text_pairs],
         references=[t for _, t in text_pairs],
-        detokenize=lambda toks: bpe_detok_strings(subword, toks),
+        detokenize=subword.detokenize,
     )
     srv = server.serve_eval(host, int(port), testset)
     print(f"serving {len(text_pairs)} sentences on {host}:{port}")
@@ -271,10 +286,6 @@ def _cmd_serve(args) -> int:
     finally:
         srv.server_close()
     return 0
-
-
-def bpe_detok_strings(subword: bpe_mod.BpeModel, tokens: list[str]) -> str:
-    return "".join(t.replace(bpe_mod.WORD_END, " ") for t in tokens).strip()
 
 
 def _cmd_grad_check(args) -> int:

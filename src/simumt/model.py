@@ -2,9 +2,9 @@
 
 Everything runs in float64 numpy.  The teacher-forced path (primitives,
 ``encoder_forward``, ``decoder_forward``, ``forward_full`` and the
-backward passes) takes a sentence or a batch: ids shaped (n,) or (B, n)
-give hidden rows shaped (n, d) or (B, n, d), and one sentence is simply a
-batch of one.  ``decoder_forward`` also takes a row map, forward only,
+backward passes) takes padded batches only: (B, n) ids give (B, n, d)
+hidden rows, one sentence is a batch of one, and 1-D ids raise
+ValueError.  ``decoder_forward`` also takes a row map, forward only,
 that decodes several read paths of each sentence while sharing the work
 no path changes.  A batch is padded at the end of every row (``pad_batch``),
 with any token id; the causal masks already keep real rows off the
@@ -18,14 +18,15 @@ point for streaming input.  The weights live in one flat vector
 same way (`zero_grads`).  The batched primitives add each bias and
 residual in place into the array the product or the embedding just made,
 so ``x @ W + b`` costs one temporary, not two; an array a backward cache
-keeps is never written after it is cached.
+keeps is never written after it is cached.  One rule, `check_ids`, says
+which ids the model takes; every entry applies it before it embeds.
 
 Source-finished convention: the model consumes x ++ [EOS].  While the
 source is still streaming, z visible tokens mean attending to encoder
 rows [0, z).  Once the source is complete the marker becomes visible too,
-so "everything" means z_model = |x| + 1 rows.  ``visible_source_len``
-implements that mapping; trace bookkeeping elsewhere stays in real-token
-terms.
+so "everything" means z_model = |x| + 1 rows.  ``with_source_markers``
+places the marker and ``path_visibility`` implements that mapping; trace
+bookkeeping elsewhere stays in real-token terms.
 
 Decoding maintains explicit states.  ``encode_prefix`` extends an encoder
 state with a block of new tokens: because prefix rows are final, only the
@@ -401,19 +402,13 @@ def layer_norm_backward(dy: np.ndarray, cache):
 
 
 def _split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
-    """(m, d) or (B, m, d) rows to (n_heads, m, d / n_heads) heads, per
-    sentence."""
-    if x.ndim == 2:
-        m, d = x.shape
-        return x.reshape(m, n_heads, d // n_heads).transpose(1, 0, 2)
+    """(B, m, d) rows to (B, n_heads, m, d / n_heads) heads."""
     b, m, d = x.shape
     return x.reshape(b, m, n_heads, d // n_heads).transpose(0, 2, 1, 3)
 
 
 def _merge_heads(x: np.ndarray) -> np.ndarray:
-    if x.ndim == 3:
-        h, m, dh = x.shape
-        return x.transpose(1, 0, 2).reshape(m, h * dh)
+    """(B, H, m, d_head) heads to (B, m, H * d_head) rows."""
     b, h, m, dh = x.shape
     return x.transpose(0, 2, 1, 3).reshape(b, m, h * dh)
 
@@ -426,8 +421,8 @@ def causal_mask(m: int, n: int, offset: int = 0) -> np.ndarray:
 
 
 def visibility_mask(visible: np.ndarray, n: int) -> np.ndarray:
-    """Additive mask letting query row i see key columns < visible[..., i];
-    (m,) gives an (m, n) mask and (B, m) a (B, m, n) one."""
+    """Additive mask letting query row i of sentence b see key columns
+    < visible[b, i]: (B, m) gives a (B, m, n) mask."""
     return np.where(np.arange(n) < np.asarray(visible)[..., None], 0.0, NEG_INF)
 
 
@@ -452,8 +447,8 @@ def _attend(qh: np.ndarray, kh: np.ndarray, vh: np.ndarray, mask: np.ndarray | N
 
 def attention(params: Parameters, prefix: str, x: np.ndarray, mask: np.ndarray | None,
               kv: tuple[np.ndarray, np.ndarray] | None = None):
-    """Multi-head attention of the rows of ``x``, (m, d) or (B, m, d), per
-    sentence; ``mask`` is (m, n), shared by the batch, or (B, m, n).
+    """Multi-head attention of the rows of ``x``, (B, m, d), per sentence;
+    ``mask`` is (m, n), shared by the batch, or (B, m, n).
     Without ``kv`` it is a self-attention, projecting q|k|v with one
     product by the ``wqkv``/``bqkv`` block.  ``kv`` holds key and value
     heads the caller has projected (a cross-attention's come from
@@ -560,8 +555,9 @@ def _position_rows(start: int, n: int, d: int) -> np.ndarray:
 
 def _embed(params: Parameters, name: str, ids, start_pos: int) -> np.ndarray:
     """Scaled embeddings plus positions, position start_pos at column 0:
-    ids (n,) or (B, n) give (n, d) or (B, n, d) rows, one int id a (d,)
-    row, which takes its position in place."""
+    a batch's (B, n) ids give (B, n, d) rows, a streaming block's (n,) ids
+    (n, d) rows, and one int id a (d,) row, which takes its position in
+    place."""
     d = params.config.d_model
     if isinstance(ids, (int, np.integer)):
         h = params.tensors[name][ids] * math.sqrt(d)
@@ -586,18 +582,6 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # teacher-forced full forward/backward (training path)
 
-def visible_source_len(z: int, n_real: int) -> int:
-    """Map z visible real tokens to encoder rows, exposing the end marker
-    only once the whole source is visible."""
-    if not 1 <= z <= n_real:
-        raise ValueError(f"z={z} outside [1, {n_real}]")
-    return z if z < n_real else n_real + 1
-
-
-def with_source_marker(x: Sequence[int]) -> np.ndarray:
-    return np.asarray(list(x) + [EOS], dtype=np.int64)
-
-
 def pad_batch(seqs: Sequence[Sequence[int]]):
     """Sequences as rows PAD-padded at the end to the longest one:
     ((B, w) int64 ids, (B,) lengths)."""
@@ -620,8 +604,9 @@ def path_visibility(path: np.ndarray, x_len: np.ndarray) -> np.ndarray:
     """Encoder rows each target row of a (B, m) path sees.
 
     ``path[b]`` holds non-decreasing z_t in 1..x_len[b] for the real
-    target positions, then 0 for padding.  Real rows map as in
-    ``visible_source_len``; padded rows see encoder row 0 only.
+    target positions, then 0 for padding.  A real row sees z_t rows, or
+    x_len[b] + 1, the end marker too, once z_t = x_len[b]; padded rows see
+    encoder row 0 only.
     """
     real = path > 0
     n_real = real.sum(axis=-1)
@@ -636,10 +621,33 @@ def path_visibility(path: np.ndarray, x_len: np.ndarray) -> np.ndarray:
     return np.where(real, np.where(path < bound, path, bound + 1), 1)
 
 
+def check_ids(ids, vocab_size: int, kind: str) -> np.ndarray:
+    """``ids`` as an array; ValueError, naming them ``kind`` ids, unless each
+    is an integer in [0, vocab_size).  `decode_step` compares its one id
+    itself."""
+    a = np.asarray(ids)
+    if a.size == 0:
+        return a.astype(np.int64)
+    if a.dtype.kind not in "iu":
+        raise ValueError(f"{kind} ids must be integers, not {a.dtype}")
+    if not (0 <= np.minimum.reduce(a, axis=None) and np.maximum.reduce(a, axis=None) < vocab_size):
+        bad = a[(a < 0) | (a >= vocab_size)][0]
+        raise ValueError(f"{kind} id {bad} outside [0, {vocab_size})")
+    return a
+
+
+def _id_batch(ids, vocab_size: int, kind: str) -> np.ndarray:
+    """`check_ids` for the teacher-forced path, which takes (B, n) only."""
+    ids = check_ids(ids, vocab_size, kind)
+    if ids.ndim != 2:
+        raise ValueError(f"{kind} ids must be a (B, n) batch, not shape {ids.shape}")
+    return ids
+
+
 def encoder_forward(params: Parameters, x_model: np.ndarray):
-    """Causal encoder over marker-included sources, (n,) or (B, n).
-    Returns (memory, cache)."""
-    x_model = np.asarray(x_model, dtype=np.int64)
+    """Causal encoder over (B, n) marker-included sources (`check_ids`).
+    Returns ((B, n, d) memory, cache)."""
+    x_model = _id_batch(x_model, params.config.src_vocab_size, "source")
     n = x_model.shape[-1]
     h = _embed(params, params.src_embed_name, x_model, 0)
     mask = causal_mask(n, n)
@@ -679,9 +687,9 @@ def encoder_backward(params: Parameters, cache, dmem: np.ndarray, grads: Paramet
 
 def _cross_kv_rows(params: Parameters, mem: np.ndarray, rows: np.ndarray | None = None):
     """Every decoder layer's cross-attention key and value heads over
-    ``mem``, (n, d) or (S, n, d), with one product by the grouped k|v
-    block: [layer][0 or 1] is (..., H, n, d_head).  ``rows``, (R,),
-    gathers sentences per row after the product: (R, H, n, d_head)."""
+    ``mem``, (S, n, d), with one product by the grouped k|v block:
+    [layer][0 or 1] is (S, H, n, d_head).  ``rows``, (R,), gathers
+    sentences per row after the product: (R, H, n, d_head)."""
     cfg = params.config
     b = params.blocks
     kv = mem @ b["dec.cross_attn.wkv"] + b["dec.cross_attn.bkv"]
@@ -694,10 +702,11 @@ def _cross_kv_rows(params: Parameters, mem: np.ndarray, rows: np.ndarray | None 
 
 def decoder_forward(params: Parameters, mem: np.ndarray, y_in: np.ndarray,
                     visible_model: np.ndarray, rows: np.ndarray | None = None):
-    """Teacher-forced decoder over ``mem`` (n, d) or (B, n, d); target row
-    t of y_in, (m,) or (B, m), sees the first visible_model[..., t]
-    encoder rows.  Returns (logprobs (m, V) or (B, m, V), cache).  The
-    cross-attention keys and values come from `_cross_kv_rows`.
+    """Teacher-forced decoder over ``mem`` (B, n, d); target row t of
+    y_in, (B, m) target ids (`check_ids`), sees the first
+    visible_model[..., t] encoder rows.  Returns (logprobs (B, m, V),
+    cache).  The cross-attention keys and values come from
+    `_cross_kv_rows`.
 
     ``rows``, (R,), decodes several read paths of the same sentences:
     ``mem`` (S, n, d) and ``y_in`` (S, m) then hold one entry per
@@ -711,7 +720,7 @@ def decoder_forward(params: Parameters, mem: np.ndarray, y_in: np.ndarray,
     used them, its cache is ``(rows,)`` alone, and ``decoder_backward``
     refuses it.
     """
-    y_in = np.asarray(y_in, dtype=np.int64)
+    y_in = _id_batch(y_in, params.config.tgt_vocab_size, "target")
     m = y_in.shape[-1]
     h = _embed(params, params.tgt_embed_name, y_in, 0)
     self_mask = causal_mask(m, m)
@@ -785,20 +794,20 @@ def decoder_backward(params: Parameters, cache, dlogp: np.ndarray, grads: Parame
 
 
 def forward_full(params: Parameters, x, y_in, path, x_len=None):
-    """Encoder + decoder over one sentence or a padded batch.
+    """Encoder + decoder over a padded batch.
 
-    ``x`` holds source ids without the end marker, (n,) or (B, n), and
-    ``x_len`` each row's real length (default: the full width).  ``y_in``
-    and ``path`` are (m,) or (B, m); ``path`` holds z_t in real source
-    tokens (1..|x|) per target position, then 0 on padded positions (see
-    ``path_visibility``); the marker mapping is applied here.  Returns
-    (logprobs (m, V) or (B, m, V), cache).
+    ``x`` holds (B, n) source ids without the end marker, and ``x_len``
+    each row's real length (default: the full width).  ``y_in`` and
+    ``path`` are (B, m); ``path`` holds z_t in real source tokens (1..|x|)
+    per target position, then 0 on padded positions (see
+    ``path_visibility``); the marker mapping is applied here.  Ids are
+    checked as `check_ids` says.  Returns (logprobs (B, m, V), cache).
     """
-    single = np.ndim(x) == 1
-    x, y_in, path = (np.atleast_2d(np.asarray(a, dtype=np.int64)) for a in (x, y_in, path))
-    x_len = np.full(len(x), x.shape[-1]) if x_len is None else np.asarray(x_len, dtype=np.int64)
-    if x.ndim != 2 or x.size == 0 or y_in.size == 0:
-        raise ValueError("need non-empty (B, n) sources and (B, m) targets")
+    x, y_in = np.asarray(x), np.asarray(y_in)
+    if x.ndim != 2 or y_in.ndim != 2 or x.size == 0 or y_in.size == 0:
+        raise ValueError(f"need non-empty (B, n) ids, not shapes {x.shape} and {y_in.shape}")
+    path = np.asarray(path, dtype=np.int64)
+    x_len = np.full(len(x), x.shape[1]) if x_len is None else np.asarray(x_len, dtype=np.int64)
     if path.shape != y_in.shape or len(y_in) != len(x) or x_len.shape != (len(x),):
         raise ValueError(f"shapes disagree: x {x.shape}, x_len {x_len.shape}, "
                          f"y_in {y_in.shape}, path {path.shape}")
@@ -807,7 +816,7 @@ def forward_full(params: Parameters, x, y_in, path, x_len=None):
     visible = path_visibility(path, x_len)
     mem, enc_cache = encoder_forward(params, with_source_markers(x, x_len))
     logp, dec_cache = decoder_forward(params, mem, y_in, visible)
-    return (logp[0] if single else logp), (enc_cache, dec_cache, single)
+    return logp, (enc_cache, dec_cache)
 
 
 def backward_full(params: Parameters, cache, dlogp: np.ndarray,
@@ -815,10 +824,10 @@ def backward_full(params: Parameters, cache, dlogp: np.ndarray,
     """Add the gradients that ``dlogp`` (shaped like forward_full's
     logprobs, zero on padded rows) implies into ``grads``, fresh
     ``zero_grads`` when None, and return it."""
-    enc_cache, dec_cache, single = cache
+    enc_cache, dec_cache = cache
     if grads is None:
         grads = zero_grads(params)
-    dmem = decoder_backward(params, dec_cache, dlogp[None] if single else dlogp, grads)
+    dmem = decoder_backward(params, dec_cache, dlogp, grads)
     encoder_backward(params, enc_cache, dmem, grads)
     return grads
 
@@ -931,21 +940,15 @@ def encode_prefix(params: Parameters, new_tokens: Sequence[int],
     row's are vector-matrix, so rows can differ in the last bits (by at
     most 1e-12 in tests; about 4e-15 on the benchmark fixture).  One new
     token travels as a (d,) row, so every product is a vector-matrix one.
-    Each self-attention projects q|k|v in one product, and the new memory
-    rows are projected into every decoder layer's cross-attention keys
-    and values in one product.  Biases, residuals and the ReLU are applied
-    in place.  An id outside the source vocabulary raises ValueError
+    Ids are checked as `check_ids` says, and a bad one raises ValueError
     before any buffer is written.
     """
     cfg = params.config
     t, blocks = params.tensors, params.blocks
     n_heads, dh, d = cfg.n_heads, cfg.head_dim, cfg.d_model
-    new_ids = np.asarray(new_tokens, dtype=np.int64)
+    new_ids = check_ids(new_tokens, cfg.src_vocab_size, "source")
     if new_ids.ndim != 1 or len(new_ids) == 0:
         raise ValueError("need at least one new token")
-    if not (0 <= np.minimum.reduce(new_ids) and np.maximum.reduce(new_ids) < cfg.src_vocab_size):
-        bad = new_ids[(new_ids < 0) | (new_ids >= cfg.src_vocab_size)][0]
-        raise ValueError(f"source id {bad} outside [0, {cfg.src_vocab_size})")
     if state is None:
         state = _empty_encoder_state(params)
     m = len(new_ids)
@@ -1010,10 +1013,8 @@ def decode_step(params: Parameters, enc_state: EncoderState,
     id, in [0, tgt_vocab_size).  Either check raises ValueError before
     any buffer is written.  The cached cross-attention keys and values
     are sliced to that prefix before any computation, so the result is
-    bitwise identical no matter what lies beyond.  The hidden row travels
-    as a (d,) vector from the embedding to the logits; biases, residuals
-    and the ReLU are applied to it in place.  Returns (logprobs (V,), new
-    DecoderState); inputs are not mutated.
+    bitwise identical no matter what lies beyond.  Returns (logprobs (V,),
+    new DecoderState); inputs are not mutated.
     """
     cfg = params.config
     t, blocks = params.tensors, params.blocks

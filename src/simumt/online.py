@@ -151,14 +151,14 @@ class ModelSession:
         sessions of one source (one per k in a sweep) then share its rows.
         Telling the same ids again keeps what the session holds.  Raises
         RuntimeError once any id has been fed, and ValueError for an id
-        the model does not embed.
+        the model does not embed (`model.check_ids`).
         """
         ids = list(ids)
         if self._fed:
             raise RuntimeError("source told after ids were fed; use a new session")
         if encoded is None and ids == self._known:
             return
-        _check_source_ids(ids, self.params.config.src_vocab_size)
+        M.check_ids(ids, self.params.config.src_vocab_size, "source")
         if encoded is not None and encoded.n_tokens != len(ids):
             raise ValueError(f"encoded state holds {encoded.n_tokens} rows, "
                              f"source has {len(ids)} ids")
@@ -197,12 +197,6 @@ class ModelSession:
         self.dec = None
         self.prev = BOS
         self._pending = None
-
-
-def _check_source_ids(ids: Sequence[int], vocab_size: int) -> None:
-    bad = [t for t in ids if not 0 <= t < vocab_size]
-    if bad:
-        raise ValueError(f"source id {bad[0]} outside [0, {vocab_size})")
 
 
 def _sessions(models) -> list:
@@ -329,7 +323,8 @@ def online_greedy_decode(models, x: Sequence[int], policy: OnlinePolicy):
 
 
 def offline_greedy_decode(models, x: Sequence[int], max_len: int = 200):
-    """Full-source greedy decoding via the batch forward path.
+    """Full-source greedy decoding via the teacher-forced path, as a batch
+    of one; each model's encoder checks the ids first (`model.check_ids`).
 
     Recomputes the whole decoder prefix each step instead of using
     incremental states, so it independently cross-checks them.  Returns
@@ -340,20 +335,17 @@ def offline_greedy_decode(models, x: Sequence[int], max_len: int = 200):
         raise ValueError("empty source")
     if isinstance(models, M.Parameters):
         models = [models]
-    for p in models:
-        _check_source_ids(x, p.config.src_vocab_size)
     n = len(x)
-    x_model = M.with_source_marker(x)
-    mems = [M.encoder_forward(p, x_model)[0] for p in models]
+    mems = [M.encoder_forward(p, [x + [EOS]])[0] for p in models]
     y_in = [BOS]
     tokens: list[int] = []
     trace: list = [ReadEvent(index=i) for i in range(n)]
     while True:
-        visible = np.full(len(y_in), n + 1, dtype=np.int64)
+        visible = np.full((1, len(y_in)), n + 1, dtype=np.int64)
         rows = []
         for p, mem in zip(models, mems):
-            logp, _ = M.decoder_forward(p, mem, np.asarray(y_in), visible)
-            rows.append(logp[-1])
+            logp, _ = M.decoder_forward(p, mem, np.asarray([y_in]), visible)
+            rows.append(logp[0, -1])
         tok = int(np.argmax(ensemble_logprobs(rows)))
         trace.append(WriteEvent(token=tok, g_tokens=n))
         if tok == EOS:

@@ -11,7 +11,8 @@ Losses are label-smoothed negative log-likelihood averaged over the
 target tokens of a sentence.  Optimization is Adam with an inverse-
 square-root learning-rate schedule and linear warmup.
 
-Sentences are computed in groups, as padded batches (see ``model``): a
+Sentences are computed in groups, as padded batches, the only form the
+model's teacher-forced path and ``label_smoothed_nll`` take: a
 mini-batch is sorted by target length and cut into groups of at most
 ``_GROUP_POSITIONS`` padded target positions, each one forward and one
 backward pass.  The enumerated objective (``expected_multi_path_loss``,
@@ -24,7 +25,7 @@ layer up to its cross-attention, and every layer's cross-attention keys
 and values (Elbayad et al. 2020, efficient multi-path wait-k).  That pass
 keeps no activations: each layer's arrays are freed as soon as the next
 layer has used them, so a larger group costs little memory and few page
-faults.  A single sentence is a group of one.
+faults.  A single sentence (``path_loss``) is a group of one.
 """
 from __future__ import annotations
 
@@ -106,23 +107,17 @@ class LossConfig:
 
 
 def label_smoothed_nll(log_probs: np.ndarray, gold: np.ndarray, eps: float,
-                       lengths: np.ndarray | None = None):
-    """Mean label-smoothed negative log-likelihood over target positions.
+                       lengths: np.ndarray):
+    """Label-smoothed negative log-likelihood of each row of a padded batch.
 
     Per position: -[(1-eps) log p(gold) + eps/(V-1) sum_{v != gold} log p(v)].
-    ``log_probs`` (m, V) with ``gold`` (m,) returns (loss, dlogp), with
-    dlogp shaped like log_probs, already scaled for the mean over
-    positions.  A padded batch, (B, m, V) with gold (B, m) and each row's
-    real length in ``lengths``, returns ((B,) losses, dlogp), with dlogp
-    zero on padded positions.
+    ``log_probs`` (B, m, V), ``gold`` (B, m) and each row's real length in
+    ``lengths``, (B,), give ((B,) losses, dlogp): a row's loss is the mean
+    over its real positions, and dlogp, shaped like log_probs, is scaled
+    for that mean and zero on padded positions.
     """
     log_probs = np.asarray(log_probs, dtype=np.float64)
-    gold = np.asarray(gold, dtype=np.int64)
-    single = lengths is None
-    if single:
-        if log_probs.ndim != 2 or gold.shape != log_probs.shape[:1]:
-            raise ValueError("log_probs must be (m, V) with one gold id per row")
-        log_probs, gold, lengths = log_probs[None], gold[None], [len(gold)]
+    gold = np.asarray(gold)
     lengths = np.asarray(lengths, dtype=np.int64)
     if log_probs.ndim != 3 or gold.shape != log_probs.shape[:2] or lengths.shape != gold.shape[:1]:
         raise ValueError("log_probs must be (B, m, V) with (B, m) gold ids and B lengths")
@@ -131,8 +126,7 @@ def label_smoothed_nll(log_probs: np.ndarray, gold: np.ndarray, eps: float,
         raise ValueError("need at least two classes to smooth over")
     if not 0.0 <= eps < 1.0:
         raise ValueError("eps must be in [0, 1)")
-    if np.any(gold < 0) or np.any(gold >= v):
-        raise ValueError("gold id out of range")
+    M.check_ids(gold, v, "gold")
     if np.any(lengths < 1) or np.any(lengths > m):
         raise ValueError("lengths must lie in [1, m]")
 
@@ -147,8 +141,6 @@ def label_smoothed_nll(log_probs: np.ndarray, gold: np.ndarray, eps: float,
     denom = np.where(real, lengths[:, None], np.inf)[..., None]
     dlogp = np.broadcast_to(-off / denom, log_probs.shape).copy()
     np.put_along_axis(dlogp, gold[..., None], -(1.0 - eps) / denom, axis=-1)
-    if single:
-        return float(losses[0]), dlogp[0]
     return losses, dlogp
 
 

@@ -100,7 +100,7 @@ def test_criterion_03_incremental_equivalence():
         params = M.init_parameters(tiny_config(rng), seed=case)
         n = int(rng.integers(2, 11))
         x = [int(v) for v in rng.integers(4, 14, size=n)]
-        x_model = M.with_source_marker(x)
+        x_model = np.array(x + [EOS])
 
         # encoder: random block sizes vs one shot
         state = None
@@ -109,8 +109,8 @@ def test_criterion_03_incremental_equivalence():
             j = min(len(x_model), i + int(rng.integers(1, 4)))
             state = M.encode_prefix(params, x_model[i:j], state)
             i = j
-        mem_full, _ = M.encoder_forward(params, x_model)
-        worst = max(worst, float(np.abs(state.memory - mem_full).max()))
+        mem_full, _ = M.encoder_forward(params, x_model[None])
+        worst = max(worst, float(np.abs(state.memory - mem_full[0]).max()))
 
         # decoder: step chain vs teacher-forced batch forward
         m = int(rng.integers(1, 9))
@@ -118,12 +118,13 @@ def test_criterion_03_incremental_equivalence():
         k = int(rng.integers(1, n + 2))
         path = [min(k + t - 1, n) for t in range(1, m + 1)]
         y_in = [BOS] + y[:-1]
-        logp_full, _ = M.forward_full(params, x, y_in, path)
+        logp_full, _ = M.forward_full(params, [x], [y_in], [path])
+        logp_full = logp_full[0]
+        visible = M.path_visibility(np.array([path]), np.array([n]))[0]
         dec = None
         prev = BOS
         for t in range(1, m + 1):
-            visible = M.visible_source_len(path[t - 1], n)
-            logp, dec = M.decode_step(params, state, dec, prev, visible)
+            logp, dec = M.decode_step(params, state, dec, prev, int(visible[t - 1]))
             worst = max(worst, float(np.abs(logp - logp_full[t - 1]).max()))
             prev = y_in[t] if t < m else EOS
     elapsed = time.monotonic() - t0

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from simumt.bpe import BpeModel, train_bpe
-from simumt.vocab import UNK
+from simumt.vocab import UNK, UNK_TOKEN
 
 
 def test_first_merge_counts_overlaps_per_occurrence():
@@ -14,6 +14,15 @@ def test_first_merge_counts_overlaps_per_occurrence():
     # vs (a,b</w>) freq 2; so the first merge must be (a, a).
     model = train_bpe(["aaab aab"], target_vocab_size=10)
     assert model.merges[0] == ("a", "a")
+
+
+def test_detokenize_keeps_unk_a_word_of_its_own():
+    model = train_bpe(["ab cd ab cd"], target_vocab_size=10)
+    tokens = [UNK_TOKEN, "ab</w>", "cd</w>", UNK_TOKEN]
+    ids = model.vocab.encode_tokens(tokens)
+    assert ids[0] == ids[-1] == UNK and UNK not in ids[1:-1]
+    assert model.detokenize(tokens) == model.decode(ids) == "<unk> ab cd <unk>"
+    assert model.detokenize(["a", "b</w>", "c", "d</w>"]) == "ab cd"
 
 
 def test_ties_break_lexicographically():

@@ -201,6 +201,63 @@ def test_sweep_ensemble_loads_each_checkpoint_once(workspace, tmp_path, monkeypa
     assert len(loaded) == 2
 
 
+def test_sweep_system_ids_are_unique(workspace, tmp_path, monkeypatch):
+    # `simumt train` always writes model.ckpt, so two runs' checkpoints used
+    # to give two rows named "model" at each k, and ensemble.ckpt one more
+    # row named "ensemble"
+    from simumt import sweep
+    ckpt = (workspace / "run" / "model.ckpt").read_bytes()
+    for name in ("a/model.ckpt", "b/model.ckpt", "c/ensemble.ckpt"):
+        (tmp_path / name).parent.mkdir()
+        (tmp_path / name).write_bytes(ckpt)
+    testset = tmp_path / "t.tsv"
+    testset.write_text("".join((workspace / "corpus.tsv").read_text().splitlines(True)[:3]))
+    swept = []
+    real_sweep = sweep.sweep_t2t
+    monkeypatch.setattr(sweep, "sweep_t2t", lambda systems, *a: swept.append(systems)
+                        or real_sweep(systems, *a))
+
+    def ids(*models, ensemble=False):
+        out = tmp_path / "plot.csv"
+        args = [a for m in models for a in ("--model", str(tmp_path / m))]
+        assert cli(["sweep", *args, "--bpe", str(workspace / "run" / "bpe.model"),
+                    "--testset", str(testset), "--k", "1", "--out", str(out)]
+                   + ["--ensemble"] * ensemble) == 0
+        rows = [l.split(",") for l in out.read_text().splitlines()[2:]]
+        assert len(rows) == len({r[0] for r in rows})
+        return [r[0] for r in rows]
+
+    assert ids("a/model.ckpt", "b/model.ckpt") == ["a/model", "b/model"]
+    assert ids("a/model.ckpt", "c/ensemble.ckpt") == ["ensemble", "model"]  # stems differ
+    # a path given twice is one system; the ensemble still averages every --model
+    assert ids("a/model.ckpt", "a/model.ckpt", "c/ensemble.ckpt", ensemble=True) == [
+        "c/ensemble", "ensemble", "model"]
+    assert [len(s.models) for s in swept[-1]] == [1, 1, 3]
+
+
+def test_serve_detokenizes_like_the_sweep(tmp_path, monkeypatch):
+    # served scores used to read <unk> glued to the next word, '<unk>ab cd'
+    from simumt import bpe, server
+    subword = bpe.train_bpe(["ab cd ab cd"], target_vocab_size=10)
+    subword.save(tmp_path / "bpe.model")
+    (tmp_path / "t.tsv").write_text("ab cd\tab cd\n")
+    served = []
+
+    class Idle:
+        def serve_forever(self):
+            pass
+
+        def server_close(self):
+            pass
+
+    monkeypatch.setattr(server, "serve_eval", lambda host, port, ts: served.append(ts) or Idle())
+    assert cli(["serve", "--bind", "127.0.0.1:0", "--bpe", str(tmp_path / "bpe.model"),
+                "--testset", str(tmp_path / "t.tsv")]) == 0
+    tokens = ["<unk>", "ab</w>", "cd</w>"]
+    assert (served[0].detokenize(tokens) == subword.decode(subword.vocab.encode_tokens(tokens))
+            == "<unk> ab cd")
+
+
 def test_grad_check_pass_and_fail(capsys):
     assert cli(["grad-check", "--probes", "10"]) == 0
     assert "PASS" in capsys.readouterr().out

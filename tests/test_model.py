@@ -108,39 +108,82 @@ def test_layer_norm_is_bitwise_the_two_call_form():
         assert np.array_equal(y, xhat * g + b) and np.array_equal(xh, xhat) and iv == inv
 
 
-def test_visible_source_len():
-    assert M.visible_source_len(1, 5) == 1
-    assert M.visible_source_len(4, 5) == 4
-    assert M.visible_source_len(5, 5) == 6  # full source exposes the marker
-    with pytest.raises(ValueError):
-        M.visible_source_len(0, 5)
-    with pytest.raises(ValueError):
-        M.visible_source_len(6, 5)
-
-
 def test_forward_full_is_normalized():
     params = small_params()
     rng = np.random.default_rng(0)
     x = rand_sentence(rng, 6)
     y = rand_sentence(rng, 4) + [EOS]
     path = [min(2 + t, len(x)) for t in range(len(y))]
-    logp, _ = M.forward_full(params, x, [BOS] + y[:-1], path)
-    assert logp.shape == (len(y), 16)
+    logp, _ = M.forward_full(params, [x], [[BOS] + y[:-1]], [path])
+    assert logp.shape == (1, len(y), 16)
     assert np.allclose(np.exp(logp).sum(axis=-1), 1.0, atol=1e-12)
 
 
 def test_path_validation():
     params = small_params()
-    x, y = [4, 5, 6], [7, 8, EOS]
-    y_in = [BOS] + y[:-1]
+    x, y = [[4, 5, 6]], [7, 8, EOS]
+    y_in = [[BOS] + y[:-1]]
     with pytest.raises(ValueError):
-        M.forward_full(params, x, y_in, [1, 2])       # wrong length
+        M.forward_full(params, x, y_in, [[1, 2]])       # wrong length
     with pytest.raises(ValueError):
-        M.forward_full(params, x, y_in, [2, 1, 3])    # decreasing
+        M.forward_full(params, x, y_in, [[2, 1, 3]])    # decreasing
     with pytest.raises(ValueError):
-        M.forward_full(params, x, y_in, [1, 2, 4])    # beyond |x|
+        M.forward_full(params, x, y_in, [[1, 2, 4]])    # beyond |x|
     with pytest.raises(ValueError):
-        M.forward_full(params, x, y_in, [0, 1, 2])    # below 1
+        M.forward_full(params, x, y_in, [[0, 1, 2]])    # below 1
+
+
+def test_teacher_forced_path_takes_batches_only():
+    # one sentence is a batch of one; its 1-D ids are refused, not wrapped
+    params = small_params()
+    x, y_in, path = [4, 5, 6], [BOS, 7, 8], [1, 2, 3]
+    with pytest.raises(ValueError, match=r"\(B, n\)"):
+        M.encoder_forward(params, x + [EOS])
+    mem, _ = M.encoder_forward(params, [x + [EOS]])
+    with pytest.raises(ValueError, match=r"\(B, n\)"):
+        M.decoder_forward(params, mem, y_in, [path])
+    with pytest.raises(ValueError, match=r"\(B, n\)"):
+        M.forward_full(params, x, y_in, path)
+    with pytest.raises(ValueError, match=r"\(B, n\)"):
+        M.forward_full(params, [x], y_in, [path])
+    logp, _ = M.forward_full(params, [x], [y_in], [path])
+    assert logp.shape == (1, 3, 16)
+
+
+@pytest.mark.parametrize("where,ids,match", [
+    ("source", [[4, -1, 6]], "source id -1 outside"),  # used to embed the last row
+    ("source", [[4, 16, 6]], "source id 16 outside"),
+    ("source", [[4.5, 6.0, 7.0]], "source ids must be integers"),  # used to read 4
+    ("target", [[BOS, -1, 8]], "target id -1 outside"),
+    ("target", [[BOS, 7.5, 8]], "target ids must be integers"),
+])
+def test_teacher_forced_path_refuses_bad_ids(where, ids, match):
+    params = small_params()
+    x, y_in = [[4, 5, 6]], [[BOS, 7, 8]]
+    if where == "source":
+        x = ids
+    else:
+        y_in = ids
+    with pytest.raises(ValueError, match=match):
+        M.forward_full(params, x, y_in, [[1, 2, 3]])
+    if where == "source":
+        with pytest.raises(ValueError, match=match):
+            M.encoder_forward(params, [ids[0] + [EOS]])
+    else:
+        mem, _ = M.encoder_forward(params, [[4, 5, 6, EOS]])
+        with pytest.raises(ValueError, match=match):
+            M.decoder_forward(params, mem, y_in, [[1, 2, 4]])
+
+
+def test_check_ids_is_the_one_id_rule():
+    for ok in ([0, 15], np.array([[3, 4]], dtype=np.int32), np.uint8(7), []):
+        got = M.check_ids(ok, 16, "source")
+        assert got.dtype.kind in "iu" and np.array_equal(got, np.asarray(ok))
+    for bad, match in (([0, 16], "source id 16 outside"), ([-3], "source id -3 outside"),
+                       ([2.0], "integers"), ([[1, 2.7]], "integers"), ([True], "integers"),
+                       (["4"], "integers")):
+        with pytest.raises(ValueError, match=match):
+            M.check_ids(bad, 16, "source")
 
 
 def random_batch(rng, n_sent, max_src=9, max_tgt=8):
@@ -194,10 +237,10 @@ def test_batched_forward_backward_matches_each_sentence():
     want = M.zero_grads(params)
     for b in range(32):
         m = len(ys[b])
-        one, one_cache = M.forward_full(params, xs[b], ys[b], paths[b])
-        assert np.abs(logp[b, :m] - one).max() < 1e-12
-        dlogp[b, :m] = rng.normal(size=one.shape)
-        want.vector += M.backward_full(params, one_cache, dlogp[b, :m]).vector
+        one, one_cache = M.forward_full(params, [xs[b]], [ys[b]], [paths[b]])
+        assert np.abs(logp[b, :m] - one[0]).max() < 1e-12
+        dlogp[b, :m] = rng.normal(size=one[0].shape)
+        want.vector += M.backward_full(params, one_cache, dlogp[b : b + 1, :m]).vector
     got = M.backward_full(params, cache, dlogp)
     scale = np.abs(want.vector).max()
     for name, g in want.tensors.items():
@@ -281,7 +324,7 @@ def test_batched_primitives_equal_their_two_temporary_forms_bitwise(config):
     params.vector += 0.1 * rng.normal(size=params.vector.shape)    # nonzero biases
     t, blocks = params.tensors, params.blocks
     d, h, m, n = config.d_model, config.n_heads, 7, 9
-    for batch in ((), (3,)):
+    for batch in ((1,), (3,)):
         x = rng.normal(size=batch + (m, d))
         prefix = "enc.0.attn"
         out, (_, _, qh, kh, vh, _, a, _) = M.attention(params, prefix, x, M.causal_mask(m, m))
@@ -306,7 +349,7 @@ def test_batched_primitives_equal_their_two_temporary_forms_bitwise(config):
 
 def test_backward_full_adds_into_given_grads():
     params = small_params()
-    x, y, path = [4, 5, 6], [BOS, 7, 8], [1, 2, 3]
+    x, y, path = [[4, 5, 6]], [[BOS, 7, 8]], [[1, 2, 3]]
     logp, cache = M.forward_full(params, x, y, path)
     dlogp = np.ones_like(logp)
     once = M.backward_full(params, cache, dlogp)
@@ -375,7 +418,7 @@ def test_self_attention_through_the_block_equals_separate_projections(config):
     rng = np.random.default_rng(6)
     params.vector += 0.1 * rng.normal(size=params.vector.shape)    # nonzero biases
     d, m = config.d_model, 7
-    for shape in ((m, d), (3, m, d)):
+    for shape in ((1, m, d), (3, m, d)):
         x = rng.normal(size=shape)
         for mask in (None, M.causal_mask(m, m)):
             for prefix in ("enc.0.attn", "dec.1.self_attn"):
@@ -447,28 +490,30 @@ def test_streaming_reads_tensors_afresh_after_in_place_edits(name):
 
 
 def oracle_step(params, mem, history, prev, visible):
-    """A decoder step written from the primitives, with no caches:
-    cross-attention runs ``attention`` over the memory sliced to
-    ``visible`` and self-attention over every earlier layer input, kept per
-    layer in ``history`` (appended to in place).  Keys and values come from
-    `separate_kv`, so the oracle shares no product with the fused blocks."""
+    """A decoder step written from the primitives, with no caches, as a
+    batch of one over ``mem`` (1, n, d): cross-attention runs
+    ``attention`` over the memory sliced to ``visible`` and self-attention
+    over every earlier layer input, kept per layer in ``history``
+    (appended to in place).  Keys and values come from `separate_kv`, so
+    the oracle shares no product with the fused blocks."""
     t = params.tensors
-    h = M._embed(params, params.tgt_embed_name, np.array([prev]), len(history[0]))
+    h = M._embed(params, params.tgt_embed_name, np.array([[prev]]), len(history[0]))
     for l, rows in enumerate(history):
         a_in, _ = M.layer_norm(h, t[f"dec.{l}.ln1.g"], t[f"dec.{l}.ln1.b"])
         rows.append(a_in)
         p = f"dec.{l}.self_attn"
-        a_out, _ = M.attention(params, p, a_in, None, separate_kv(params, p, np.vstack(rows)))
+        kv = separate_kv(params, p, np.concatenate(rows, axis=1))
+        a_out, _ = M.attention(params, p, a_in, None, kv)
         h = h + a_out
         c_in, _ = M.layer_norm(h, t[f"dec.{l}.ln2.g"], t[f"dec.{l}.ln2.b"])
         p = f"dec.{l}.cross_attn"
-        c_out, _ = M.attention(params, p, c_in, None, separate_kv(params, p, mem[:visible]))
+        c_out, _ = M.attention(params, p, c_in, None, separate_kv(params, p, mem[:, :visible]))
         h = h + c_out
         f_in, _ = M.layer_norm(h, t[f"dec.{l}.ln3.g"], t[f"dec.{l}.ln3.b"])
         f_out, _ = M.ffn(params, f"dec.{l}.ffn", f_in)
         h = h + f_out
     hf, _ = M.layer_norm(h, t["dec.final_ln.g"], t["dec.final_ln.b"])
-    return M.log_softmax(hf @ t[params.out_proj_name].T)[0]
+    return M.log_softmax(hf @ t[params.out_proj_name].T)[0, 0]
 
 
 def test_cached_decode_matches_uncached_oracle_over_long_sources():
@@ -476,13 +521,13 @@ def test_cached_decode_matches_uncached_oracle_over_long_sources():
     rng = np.random.default_rng(11)
     for n in (300, int(rng.integers(1, 300)), int(rng.integers(1, 40))):
         x = np.asarray(rand_sentence(rng, n), dtype=np.int64)
-        mem, _ = M.encoder_forward(params, x)
+        mem, _ = M.encoder_forward(params, x[None])
         enc, dec, prev = None, None, BOS
         history = [[] for _ in range(params.config.n_dec_layers)]
         while enc is None or enc.n_tokens < n:
             z0 = 0 if enc is None else enc.n_tokens
             enc = M.encode_prefix(params, x[z0:z0 + int(rng.integers(1, 41))], enc)
-            assert np.abs(enc.memory - mem[:enc.n_tokens]).max() < 1e-12
+            assert np.abs(enc.memory - mem[0, :enc.n_tokens]).max() < 1e-12
             for _ in range(int(rng.integers(1, 4))):
                 visible = int(rng.integers(1, enc.n_tokens + 1))
                 lp, dec = M.decode_step(params, enc, dec, prev, visible)
@@ -496,7 +541,7 @@ def test_tip_extensions_grow_buffers_in_place_over_long_chains():
     rng = np.random.default_rng(12)
     n = 1100
     x = np.asarray(rand_sentence(rng, n), dtype=np.int64)
-    mem, _ = M.encoder_forward(params, x)
+    mem, _ = M.encoder_forward(params, x[None])
     enc, reallocations = None, 0
     for i in range(n):
         prev = enc
@@ -505,7 +550,7 @@ def test_tip_extensions_grow_buffers_in_place_over_long_chains():
             reallocations += 1
             assert prev is None or prev.rows.arrays[1].shape[0] == prev.n_tokens  # was full
     assert reallocations <= math.ceil(math.log2(n)) + 1
-    assert enc.n_tokens == n and np.abs(enc.memory - mem).max() < 1e-12
+    assert enc.n_tokens == n and np.abs(enc.memory - mem[0]).max() < 1e-12
 
     dec, prev_tok = None, BOS
     history = [[] for _ in range(params.config.n_dec_layers)]
@@ -568,8 +613,8 @@ def test_encoder_is_causal_bitwise():
     for z in (1, 4, 9):
         x2 = list(x1)
         x2[z:] = rand_sentence(rng, 10 - z)
-        e1 = M.encode_prefix(params, M.with_source_marker(x1))
-        e2 = M.encode_prefix(params, M.with_source_marker(x2))
+        e1 = M.encode_prefix(params, x1 + [EOS])
+        e2 = M.encode_prefix(params, x2 + [EOS])
         assert np.array_equal(e1.memory[:z], e2.memory[:z])
         lp1, _ = M.decode_step(params, e1, None, BOS, z)
         lp2, _ = M.decode_step(params, e2, None, BOS, z)
@@ -582,12 +627,13 @@ def test_decode_step_matches_teacher_forced():
     x = rand_sentence(rng, 8)
     y = rand_sentence(rng, 6)
     path = [min(3 + t, len(x)) for t in range(len(y))]
-    visible = np.array([M.visible_source_len(z, len(x)) for z in path])
-    x_model = M.with_source_marker(x)
+    visible = M.path_visibility(np.array([path]), np.array([len(x)]))[0]
+    x_model = np.array([x + [EOS]])
     mem, _ = M.encoder_forward(params, x_model)
-    full, _ = M.decoder_forward(params, mem, np.array([BOS] + y[:-1]), visible)
+    full, _ = M.decoder_forward(params, mem, [[BOS] + y[:-1]], visible[None])
+    full = full[0]
 
-    enc = M.encode_prefix(params, x_model)
+    enc = M.encode_prefix(params, x_model[0])
     dec = None
     prev = BOS
     for t in range(len(y)):
@@ -614,17 +660,18 @@ def test_decode_step_purity_and_validation():
 
 
 def test_streaming_refuses_ids_outside_the_vocabulary():
-    # a negative id would index from the end of the embedding and an id of
-    # vocab size past it; both functions refuse them before writing a row
+    # a negative id would index from the end of the embedding, an id of
+    # vocab size past it, and a fraction would be truncated (4.5 read as 4);
+    # both functions refuse them before writing a row
     params = M.init_parameters(M.ModelConfig(src_vocab_size=12, tgt_vocab_size=16, d_model=16,
                                              n_heads=2, joint_vocabulary=False), seed=0)
     enc = M.encode_prefix(params, [4, 5, 6])
     _, dec = M.decode_step(params, enc, None, BOS, 2)
     before = [a.copy() for a in enc.rows.arrays + dec.rows.arrays]
-    for ids in ([-1, 2], [4, 12], [-1], [12], [11, 4, 99]):
-        with pytest.raises(ValueError, match="outside"):
+    for ids in ([-1, 2], [4, 12], [-1], [12], [11, 4, 99], [4.5, 6], [4.0], np.array([7.0])):
+        with pytest.raises(ValueError, match="outside|integers"):
             M.encode_prefix(params, ids, enc)
-        with pytest.raises(ValueError, match="outside"):
+        with pytest.raises(ValueError, match="outside|integers"):
             M.encode_prefix(params, ids)
     for tok in (-1, 16, 99):
         for state in (None, dec):
@@ -802,6 +849,20 @@ def test_streaming_kernels_equal_the_reference_bit_for_bit(n_heads, joint, tied)
         for _ in range(4):
             back = chain[int(rng.integers(0, len(chain) - 1))]
             steps(encs[-1], back, 3, lambda _: int(rng.integers(1, n + 1)))
+
+
+def test_flat_vectors_start_on_a_cache_line(tmp_path):
+    # Parameters and aligned_zeros promise a first element on a 64-byte
+    # boundary, which numpy's own large buffers miss by 16 bytes here
+    for shape in ((1,), (7,), (3, 5), (4097,), (64, 17), (2, 3, 4), (170_240,)):
+        a = M.aligned_zeros(shape)
+        assert a.ctypes.data % 64 == 0 and a.shape == shape and not a.any()
+    params = small_params()
+    M.save_checkpoint(params, tmp_path / "m.ckpt")
+    for p in (params, params.copy(), M.load_checkpoint(tmp_path / "m.ckpt"),
+              M.zero_grads(params), M.init_parameters(M.desk_config(40), seed=1)):
+        assert p.vector.ctypes.data % 64 == 0
+        assert all(np.shares_memory(t, p.vector) for t in p.tensors.values())
 
 
 def test_checkpoint_roundtrip(tmp_path):

@@ -342,18 +342,21 @@ def test_a_used_session_refuses_a_new_source():
             == O.online_greedy_decode(params, [7, 8], O.OnlinePolicy(k_eval=2)))
 
 
-@pytest.mark.parametrize("bad", [-1, 16, 99])
+@pytest.mark.parametrize("bad", [-1, 16, 99, 4.5, 4.0])
 def test_out_of_range_source_ids_are_refused(bad):
-    # -1 used to embed the last vocabulary row, 16 raised IndexError
+    # -1 used to embed the last vocabulary row, 16 raised IndexError, and
+    # both drivers decoded [4, 4.5, 5] as [4, 4, 5]
     params = small_params()
     s = O.ModelSession(params)
-    with pytest.raises(ValueError, match="outside"):
+    with pytest.raises(ValueError, match="outside|integers"):
+        s.know_source([4, bad, 5, EOS])
+    with pytest.raises(ValueError, match="outside|integers"):
         O.online_greedy_decode([s], [4, bad, 5], O.OnlinePolicy(k_eval=1))
     assert s.n_encoded == 0 and s.enc is None and s.dec is None
-    with pytest.raises(ValueError, match="outside"):
+    with pytest.raises(ValueError, match="outside|integers"):
         O.online_greedy_decode([params, small_params(vocab=200)], [4, bad],
                                O.OnlinePolicy(k_eval=1))
-    with pytest.raises(ValueError, match="outside"):
+    with pytest.raises(ValueError, match="outside|integers"):
         O.offline_greedy_decode(params, [4, bad, 5])
 
 

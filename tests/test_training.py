@@ -65,42 +65,46 @@ def test_wait_k_path():
 def test_label_smoothed_nll_hand_value():
     # V=3, p=(0.7,0.2,0.1), gold=0, eps=0.1:
     # loss = -[0.9*ln0.7 + 0.05*(ln0.2 + ln0.1)] = 0.5166085998162665
-    logp = np.log(np.array([[0.7, 0.2, 0.1]]))
-    loss, dlogp = T.label_smoothed_nll(logp, np.array([0]), eps=0.1)
+    logp = np.log(np.array([[[0.7, 0.2, 0.1]]]))
+    (loss,), dlogp = T.label_smoothed_nll(logp, np.array([[0]]), eps=0.1, lengths=[1])
     assert loss == pytest.approx(0.5166085998162665, rel=1e-14)
     assert dlogp.shape == logp.shape
-    assert dlogp[0, 0] == pytest.approx(-0.9)
-    assert dlogp[0, 1] == pytest.approx(-0.05)
+    assert dlogp[0, 0, 0] == pytest.approx(-0.9)
+    assert dlogp[0, 0, 1] == pytest.approx(-0.05)
 
 
 def test_label_smoothed_nll_zero_eps_is_plain_nll():
-    logp = np.log(np.array([[0.6, 0.3, 0.1], [0.25, 0.5, 0.25]]))
-    loss, _ = T.label_smoothed_nll(logp, np.array([0, 1]), eps=0.0)
+    logp = np.log(np.array([[[0.6, 0.3, 0.1], [0.25, 0.5, 0.25]]]))
+    (loss,), _ = T.label_smoothed_nll(logp, np.array([[0, 1]]), eps=0.0, lengths=[2])
     assert loss == pytest.approx(-(math.log(0.6) + math.log(0.5)) / 2, rel=1e-14)
 
 
 def test_label_smoothed_nll_gradient_is_exact():
     # the loss is linear in log_probs, so finite differences are exact
     rng = np.random.default_rng(0)
-    logp = np.log(rng.dirichlet(np.ones(5), size=3))
-    gold = np.array([0, 2, 4])
-    loss, dlogp = T.label_smoothed_nll(logp, gold, eps=0.1)
+    logp = np.log(rng.dirichlet(np.ones(5), size=(1, 3)))
+    gold = np.array([[0, 2, 4]])
+    (loss,), dlogp = T.label_smoothed_nll(logp, gold, eps=0.1, lengths=[3])
     h = 1e-6
-    for idx in [(0, 0), (1, 2), (2, 3)]:
+    for idx in [(0, 0, 0), (0, 1, 2), (0, 2, 3)]:
         bumped = logp.copy()
         bumped[idx] += h
-        lp, _ = T.label_smoothed_nll(bumped, gold, eps=0.1)
+        (lp,), _ = T.label_smoothed_nll(bumped, gold, eps=0.1, lengths=[3])
         assert (lp - loss) / h == pytest.approx(dlogp[idx], rel=1e-6)
 
 
 def test_label_smoothed_nll_validation():
-    logp = np.log(np.array([[0.5, 0.5]]))
+    logp = np.log(np.array([[[0.5, 0.5]]]))
     with pytest.raises(ValueError):
-        T.label_smoothed_nll(logp, np.array([2]), eps=0.1)
+        T.label_smoothed_nll(logp, np.array([[2]]), eps=0.1, lengths=[1])
     with pytest.raises(ValueError):
-        T.label_smoothed_nll(logp, np.array([0]), eps=1.0)
+        T.label_smoothed_nll(logp, np.array([[0]]), eps=1.0, lengths=[1])
     with pytest.raises(ValueError):
-        T.label_smoothed_nll(np.zeros((1, 1)), np.array([0]), eps=0.1)
+        T.label_smoothed_nll(np.zeros((1, 1, 1)), np.array([[0]]), eps=0.1, lengths=[1])
+    with pytest.raises(ValueError):
+        T.label_smoothed_nll(logp[0], np.array([0]), eps=0.1, lengths=[1])  # one sentence
+    with pytest.raises(ValueError):
+        T.label_smoothed_nll(logp, np.array([[0]]), eps=0.1, lengths=[2])
 
 
 # ---------------------------------------------------------------------------
@@ -113,8 +117,8 @@ def test_path_loss_matches_manual_composition():
     k = 2
     y = np.asarray(pair.target)
     path = [T.wait_k_z(k, t, len(pair.source)) for t in range(1, len(y) + 1)]
-    logp, _ = M.forward_full(params, pair.source, np.r_[[1], y[:-1]], path)
-    expect, _ = T.label_smoothed_nll(logp, y, eps=0.1)
+    logp, _ = M.forward_full(params, [pair.source], [np.r_[[1], y[:-1]]], [path])
+    (expect,), _ = T.label_smoothed_nll(logp, [y], eps=0.1, lengths=[len(y)])
     assert T.path_loss(params, pair, k) == pytest.approx(expect, rel=1e-15)
 
 
@@ -265,6 +269,14 @@ def test_dev_loss_encodes_each_no_grad_group_once(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # optimizer and schedule
+
+def test_optimizer_vectors_start_on_a_cache_line():
+    for params in (small_params(), M.init_parameters(M.desk_config(40), seed=1)):
+        opt = T.init_optimizer(params)
+        for a in (opt.m, opt.v, opt.scratch):
+            assert a.ctypes.data % 64 == 0
+        assert opt.m.shape == opt.v.shape == params.vector.shape
+
 
 def test_lr_schedule_shape():
     base, warm = 0.5, 100

@@ -12,9 +12,11 @@ compute, bit for bit, the same:
   best-dev and the final ones) on `make_inputs(seed)` for each seed;
 - `dev`: their dev losses on the seed's dev set;
 - `grads`: one sentence's loss and gradients at the initial weights;
-- `forward`: one sentence's `forward_full` log-probs;
+- `forward`: one sentence's `forward_full` log-probs, run as a batch of
+  one and hashed as the sentence's (m, V) rows;
 - `offline`: `offline_greedy_decode` tokens and the encoder memory of the
-  fixture model on sweep sources;
+  fixture model on sweep sources, each a batch of one hashed as its
+  (n + 1, d) rows;
 - `online`: `online_greedy_decode` tokens, g and every log-prob row its
   session produced at k = 1, 3 and infinity;
 - `streaming`: memory after a block then a one-token `encode_prefix`, and
@@ -104,16 +106,16 @@ def digests() -> dict[str, str]:
         add("grads", loss, grads.vector)
         n, m = len(pair.source), len(pair.target)
         path = [T.wait_k_z(GRAD_K, t, n) for t in range(1, m + 1)]
-        logp, _ = M.forward_full(inp.init_params, pair.source,
-                                 [BOS, *pair.target[:-1]], path)
-        add("forward", logp)
+        logp, _ = M.forward_full(inp.init_params, [pair.source],
+                                 [[BOS, *pair.target[:-1]]], [path])
+        add("forward", logp[0])
 
     fixture = W.load_fixture()
     sources = W.make_inputs(SEEDS[0]).sweep_sources[:N_SOURCES]
     for src in sources:
         tokens, _ = O.offline_greedy_decode(fixture, src)
-        mem, _ = M.encoder_forward(fixture, M.with_source_marker(src))
-        add("offline", tokens, mem)
+        mem, _ = M.encoder_forward(fixture, [[*src, EOS]])
+        add("offline", tokens, mem[0])
         for k in K_VALUES:
             session = RecordingSession(fixture)
             tokens, trace = O.online_greedy_decode([session], src, O.OnlinePolicy(k_eval=k))
