@@ -17,8 +17,14 @@ point for streaming input.  The weights live in one flat vector
 (`Parameters`), and the backward passes add into gradients laid out the
 same way (`zero_grads`).  The batched primitives add each bias and
 residual in place into the array the product or the embedding just made,
-so ``x @ W + b`` costs one temporary, not two; an array a backward cache
-keeps is never written after it is cached.  One rule, `check_ids`, says
+so ``x @ W + b`` costs one temporary, not two, and ``attention`` writes
+``p @ v`` head-merged into the rows its output projection takes.  The
+backward passes likewise work in place in arrays they make (layer norm's
+dx, the attention scores' gradient, the ReLU mask, residual sums) and
+write head gradients merged, by the products that make them, into one
+q|k|v or k|v buffer.  An array a backward cache keeps is never written
+after it is cached, and no backward pass writes its output gradient or a
+cache, so one cache can be backpropagated twice.  One rule, `check_ids`, says
 which ids the model takes; every entry applies it before it embeds.
 
 Source-finished convention: the model consumes x ++ [EOS].  While the
@@ -390,27 +396,30 @@ def _rows(x: np.ndarray) -> np.ndarray:
 
 
 def layer_norm_backward(dy: np.ndarray, cache):
+    """(dx, dg, db) of `layer_norm` for the output gradient ``dy``.  dx is
+    ``inv * (dxhat - m1 - xhat * m2)``, evaluated in that order in place in
+    the ``dy * g`` array; ``dy`` and the cache are only read."""
     xhat, inv, g = cache
-    dg = _rows(dy * xhat).sum(axis=0)
-    db = _rows(dy).sum(axis=0)
-    dxhat = dy * g
+    tmp = dy * xhat
+    dg = np.add.reduce(_rows(tmp), axis=0)
+    db = np.add.reduce(_rows(dy), axis=0)
+    dx = dy * g                                 # dxhat, then dx in place
+    np.multiply(dx, xhat, out=tmp)
     n = dy.shape[-1]  # add.reduce / n is what .mean computes, without its overhead
-    m1 = np.add.reduce(dxhat, axis=-1, keepdims=True) / n
-    m2 = np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / n
-    dx = inv * (dxhat - m1 - xhat * m2)
+    m1 = np.add.reduce(dx, axis=-1, keepdims=True) / n
+    m2 = np.add.reduce(tmp, axis=-1, keepdims=True) / n
+    dx -= m1
+    dx -= np.multiply(xhat, m2, out=tmp)
+    dx *= inv
     return dx, dg, db
 
 
 def _split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
-    """(B, m, d) rows to (B, n_heads, m, d / n_heads) heads."""
+    """(B, m, d) rows as (B, n_heads, m, d / n_heads) heads: a view of a
+    contiguous ``x``, so a product written into it lands head-merged in
+    ``x``."""
     b, m, d = x.shape
     return x.reshape(b, m, n_heads, d // n_heads).transpose(0, 2, 1, 3)
-
-
-def _merge_heads(x: np.ndarray) -> np.ndarray:
-    """(B, H, m, d_head) heads to (B, m, H * d_head) rows."""
-    b, h, m, dh = x.shape
-    return x.transpose(0, 2, 1, 3).reshape(b, m, h * dh)
 
 
 def causal_mask(m: int, n: int, offset: int = 0) -> np.ndarray:
@@ -426,14 +435,14 @@ def visibility_mask(visible: np.ndarray, n: int) -> np.ndarray:
     return np.where(np.arange(n) < np.asarray(visible)[..., None], 0.0, NEG_INF)
 
 
-def _attend(qh: np.ndarray, kh: np.ndarray, vh: np.ndarray, mask: np.ndarray | None):
-    """The attention core over heads, (..., H, m, d_head) queries against
-    (..., H, n, d_head) keys and values: scaled scores, the additive
-    ``mask``, softmax.  ``mask`` is (..., m, n'), the same for every head,
-    and covers the last n' <= n key columns; every query sees the columns
-    before them.  The softmax runs in place in the scores, with the ufunc
-    reductions ``.max``/``.sum`` call, and -inf entries come out exactly
-    0.  Returns (p, p @ vh)."""
+def _attend(qh: np.ndarray, kh: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
+    """The attention weights over heads, (..., H, m, d_head) queries against
+    (..., H, n, d_head) keys: scaled scores, the additive ``mask``,
+    softmax.  ``mask`` is (..., m, n'), the same for every head, and covers
+    the last n' <= n key columns; every query sees the columns before them.
+    The softmax runs in place in the scores, with the ufunc reductions
+    ``.max``/``.sum`` call, and -inf entries come out exactly 0.  Returns
+    p, (..., H, m, n); each caller multiplies it by its value heads."""
     scores = qh @ kh.swapaxes(-1, -2)
     scores *= 1.0 / math.sqrt(qh.shape[-1])
     if mask is not None:
@@ -442,7 +451,7 @@ def _attend(qh: np.ndarray, kh: np.ndarray, vh: np.ndarray, mask: np.ndarray | N
     scores -= np.maximum.reduce(scores, axis=-1, keepdims=True)
     np.exp(scores, out=scores)
     scores /= np.add.reduce(scores, axis=-1, keepdims=True)
-    return scores, scores @ vh
+    return scores
 
 
 def attention(params: Parameters, prefix: str, x: np.ndarray, mask: np.ndarray | None,
@@ -452,21 +461,27 @@ def attention(params: Parameters, prefix: str, x: np.ndarray, mask: np.ndarray |
     Without ``kv`` it is a self-attention, projecting q|k|v with one
     product by the ``wqkv``/``bqkv`` block.  ``kv`` holds key and value
     heads the caller has projected (a cross-attention's come from
-    `_cross_kv_rows`); only the queries are then projected, by ``wq``."""
+    `_cross_kv_rows`); only the queries are then projected, by ``wq``.
+    The heads are views of the projection, and ``p @ v`` is written
+    head-merged into the (B, m, d) rows ``a`` the output projection takes.
+    Returns (out, cache); the cache is (x, self-attention?, qh, kh, vh, p,
+    a, prefix)."""
     t = params.tensors
     h = params.config.n_heads
+    b, m, d = x.shape
     if kv is None:
-        d = params.config.d_model
         qkv = x @ params.blocks[f"{prefix}.wqkv"]
         qkv += params.blocks[f"{prefix}.bqkv"]
-        qh, kh, vh = (_split_heads(qkv[..., i * d : (i + 1) * d], h) for i in range(3))
+        # (B, m, 3, H, d_head) to three (B, H, m, d_head) views
+        qh, kh, vh = qkv.reshape(b, m, 3, h, -1).transpose(2, 0, 3, 1, 4)
     else:
         q = x @ t[f"{prefix}.wq"]
         q += t[f"{prefix}.bq"]
         qh = _split_heads(q, h)
         kh, vh = kv
-    p, ah = _attend(qh, kh, vh, mask)
-    a = _merge_heads(ah)
+    p = _attend(qh, kh, mask)
+    a = np.empty((b, m, d))
+    np.matmul(p, vh, out=_split_heads(a, h))
     out = a @ t[f"{prefix}.wo"]
     out += t[f"{prefix}.bo"]
     return out, (x, kv is None, qh, kh, vh, p, a, prefix)
@@ -477,6 +492,10 @@ def attention_backward(params: Parameters, dout: np.ndarray, cache, grads: Param
     (dq_in, dkv_in, dkv): dkv_in is the gradient of the rows keys and
     values come from (``x`` itself, or a cross-attention's memory).
 
+    The head gradients are written head-merged, by the products that
+    make them, into one buffer: (B, m, 3, H, d_head) q|k|v rows for a
+    self-attention, or (B, n, 2, H, d_head) k|v rows for a
+    cross-attention, whose queries get their own (B, m, d) rows.
     A self-attention adds its q|k|v weight and bias gradients into the
     ``wqkv``/``bqkv`` blocks with one product and one row sum, and returns
     dkv None.  A cross-attention adds those of ``wq``/``bq`` only and
@@ -484,58 +503,76 @@ def attention_backward(params: Parameters, dout: np.ndarray, cache, grads: Param
     ``decoder_backward`` adds every layer's into the shared
     ``dec.cross_attn`` blocks at once.  Column blocks of one product equal
     the separate products on OpenBLAS for the desk width (d_model 64); at
-    d_model 32 with 385 rows or more they can differ in the last bits."""
+    d_model 32 with 385 rows or more they can differ in the last bits.
+    ``dout`` and the cache are only read."""
     x, self_attention, qh, kh, vh, p, a, prefix = cache
     t, g = params.tensors, grads.tensors
-    h = params.config.n_heads
-    scale = 1.0 / math.sqrt(params.config.head_dim)
+    h, dh = params.config.n_heads, params.config.head_dim
+    scale = 1.0 / math.sqrt(dh)
+    b, m, d = dout.shape
+    n = kh.shape[-2]
 
     g[f"{prefix}.wo"] += _rows(a).T @ _rows(dout)
-    g[f"{prefix}.bo"] += _rows(dout).sum(axis=0)
-    da = dout @ t[f"{prefix}.wo"].T
-    dah = _split_heads(da, h)
+    g[f"{prefix}.bo"] += np.add.reduce(_rows(dout), axis=0)
+    dah = _split_heads(dout @ t[f"{prefix}.wo"].T, h)
 
     dp = dah @ vh.swapaxes(-1, -2)
-    dvh = p.swapaxes(-1, -2) @ dah
-    dscores = p * (dp - (dp * p).sum(axis=-1, keepdims=True))
-    dscores *= scale
-    dqh = dscores @ kh
-    dkh = dscores.swapaxes(-1, -2) @ qh
-
-    dq, dk, dv = _merge_heads(dqh), _merge_heads(dkh), _merge_heads(dvh)
     if self_attention:
-        dqkv = np.concatenate((_rows(dq), _rows(dk), _rows(dv)), axis=1)
+        dqkv = np.empty((b, m, 3, h, dh))
+        dq, dk, dv = dqkv.transpose(2, 0, 1, 3, 4)       # (B, rows, H, d_head) views
+    else:
+        dq = np.empty((b, m, h, dh))
+        dqkv = np.empty((b, n, 2, h, dh))
+        dk, dv = dqkv.transpose(2, 0, 1, 3, 4)
+    np.matmul(p.swapaxes(-1, -2), dah, out=dv.swapaxes(1, 2))
+    # dscores = p * (dp - sum(dp * p)) * scale, in place in dp
+    dp -= np.add.reduce(dp * p, axis=-1, keepdims=True)
+    dp *= p
+    dp *= scale
+    np.matmul(dp, kh, out=dq.swapaxes(1, 2))
+    np.matmul(dp.swapaxes(-1, -2), qh, out=dk.swapaxes(1, 2))
+
+    dq, dk, dv = dq.reshape(b, m, d), dk.reshape(b, n, d), dv.reshape(b, n, d)
+    dqkv = dqkv.reshape(b * n, -1)
+    if self_attention:
         grads.blocks[f"{prefix}.wqkv"] += _rows(x).T @ dqkv
-        grads.blocks[f"{prefix}.bqkv"] += dqkv.sum(axis=0)
+        grads.blocks[f"{prefix}.bqkv"] += np.add.reduce(dqkv, axis=0)
         dkv = None
     else:
         g[f"{prefix}.wq"] += _rows(x).T @ _rows(dq)
-        g[f"{prefix}.bq"] += _rows(dq).sum(axis=0)
-        dkv = np.concatenate((_rows(dk), _rows(dv)), axis=1)
+        g[f"{prefix}.bq"] += np.add.reduce(_rows(dq), axis=0)
+        dkv = dqkv
     dq_in = dq @ t[f"{prefix}.wq"].T
-    dkv_in = dk @ t[f"{prefix}.wk"].T + dv @ t[f"{prefix}.wv"].T
+    dkv_in = dk @ t[f"{prefix}.wk"].T
+    dkv_in += dv @ t[f"{prefix}.wv"].T
     return dq_in, dkv_in, dkv
 
 
 def ffn(params: Parameters, prefix: str, x: np.ndarray):
+    """The position-wise feed-forward block, ``relu(x @ w1 + b1) @ w2 + b2``,
+    with the bias and the ReLU applied in place in the first product.
+    Returns (out, cache); the cache is (x, r, prefix), r the ReLU output."""
     t = params.tensors
-    h1 = x @ t[f"{prefix}.w1"]
-    h1 += t[f"{prefix}.b1"]
-    r = np.maximum(h1, 0.0)
+    r = x @ t[f"{prefix}.w1"]
+    r += t[f"{prefix}.b1"]
+    np.maximum(r, 0.0, out=r)
     out = r @ t[f"{prefix}.w2"]
     out += t[f"{prefix}.b2"]
-    return out, (x, h1, r, prefix)
+    return out, (x, r, prefix)
 
 
 def ffn_backward(params: Parameters, dout: np.ndarray, cache, grads: Parameters) -> np.ndarray:
-    x, h1, r, prefix = cache
+    """Add the gradients of `ffn` into ``grads`` and return that of its
+    input.  The ReLU's mask is ``r > 0``, which selects the entries
+    ``h1 > 0`` does (NaN and signed zeros included)."""
+    x, r, prefix = cache
     t, g = params.tensors, grads.tensors
     g[f"{prefix}.w2"] += _rows(r).T @ _rows(dout)
-    g[f"{prefix}.b2"] += _rows(dout).sum(axis=0)
-    dr = dout @ t[f"{prefix}.w2"].T
-    dh1 = dr * (h1 > 0.0)
+    g[f"{prefix}.b2"] += np.add.reduce(_rows(dout), axis=0)
+    dh1 = dout @ t[f"{prefix}.w2"].T
+    dh1 *= r > 0.0
     g[f"{prefix}.w1"] += _rows(x).T @ _rows(dh1)
-    g[f"{prefix}.b1"] += _rows(dh1).sum(axis=0)
+    g[f"{prefix}.b1"] += np.add.reduce(_rows(dh1), axis=0)
     return dh1 @ t[f"{prefix}.w1"].T
 
 
@@ -584,11 +621,15 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
 
 def pad_batch(seqs: Sequence[Sequence[int]]):
     """Sequences as rows PAD-padded at the end to the longest one:
-    ((B, w) int64 ids, (B,) lengths)."""
+    ((B, w) int64 ids, (B,) lengths).  ValueError unless every id is an
+    integer, the dtype rule of `check_ids`, checked once over the batch;
+    the range is left to the entry the ids go to."""
     lengths = np.array([len(s) for s in seqs], dtype=np.int64)
+    ids = np.array([i for s in seqs for i in s])
+    if ids.size and ids.dtype.kind not in "iu":
+        raise ValueError(f"ids must be integers, not {ids.dtype}")
     out = np.full((len(seqs), int(lengths.max())), PAD, dtype=np.int64)
-    for row, s in zip(out, seqs):
-        row[: len(s)] = s
+    out[np.arange(out.shape[1]) < lengths[:, None]] = ids
     return out, lengths
 
 
@@ -676,12 +717,13 @@ def encoder_backward(params: Parameters, cache, dmem: np.ndarray, grads: Paramet
         dh2, dg, db = layer_norm_backward(df_in, ln2c)
         g[f"enc.{l}.ln2.g"] += dg
         g[f"enc.{l}.ln2.b"] += db
-        dh = dh + dh2
+        dh += dh2
         dq, dkv, _ = attention_backward(params, dh, attc, grads)
-        da_in, dg, db = layer_norm_backward(dq + dkv, ln1c)
+        dq += dkv
+        da_in, dg, db = layer_norm_backward(dq, ln1c)
         g[f"enc.{l}.ln1.g"] += dg
         g[f"enc.{l}.ln1.b"] += db
-        dh = dh + da_in
+        dh += da_in
     _embed_backward(params, params.src_embed_name, x_model, dh, grads)
 
 
@@ -754,12 +796,15 @@ def decoder_backward(params: Parameters, cache, dlogp: np.ndarray, grads: Parame
     """Add the decoder's gradients into ``grads``; returns dmem (gradient
     wrt encoder memory).  Every layer's cross-attention key|value
     gradients go into the ``dec.cross_attn`` blocks with one product after
-    the layer loop."""
+    the layer loop.  ``dlogp`` and the cache are only read; the residual
+    and memory gradients add in place into arrays this pass made."""
     if len(cache) == 1:
         raise ValueError("a row-mapped decoder pass is forward-only")
     y_in, mem, layer_caches, lnfc, hf, logp = cache
     g = grads.tensors
-    dlogits = dlogp - np.exp(logp) * dlogp.sum(axis=-1, keepdims=True)
+    dlogits = np.exp(logp)                  # dlogp - exp(logp) * sum(dlogp), in place
+    dlogits *= np.add.reduce(dlogp, axis=-1, keepdims=True)
+    np.subtract(dlogp, dlogits, out=dlogits)
     e_out = params.tensors[params.out_proj_name]
     g[params.out_proj_name] += _rows(dlogits).T @ _rows(hf)
     dhf = dlogits @ e_out
@@ -774,21 +819,22 @@ def decoder_backward(params: Parameters, cache, dlogp: np.ndarray, grads: Parame
         dh3, dg, db = layer_norm_backward(df_in, ln3c)
         g[f"dec.{l}.ln3.g"] += dg
         g[f"dec.{l}.ln3.b"] += db
-        dh = dh + dh3
+        dh += dh3
         dq, dkv_in, cross_dkv[l] = attention_backward(params, dh, crossc, grads)
-        dmem = dkv_in if dmem is None else dmem + dkv_in
+        dmem = dkv_in if dmem is None else np.add(dmem, dkv_in, out=dmem)
         dc_in, dg, db = layer_norm_backward(dq, ln2c)
         g[f"dec.{l}.ln2.g"] += dg
         g[f"dec.{l}.ln2.b"] += db
-        dh = dh + dc_in
+        dh += dc_in
         dq, dkv_in, _ = attention_backward(params, dh, selfc, grads)
-        da_in, dg, db = layer_norm_backward(dq + dkv_in, ln1c)
+        dq += dkv_in
+        da_in, dg, db = layer_norm_backward(dq, ln1c)
         g[f"dec.{l}.ln1.g"] += dg
         g[f"dec.{l}.ln1.b"] += db
-        dh = dh + da_in
+        dh += da_in
     dkv = np.concatenate(cross_dkv, axis=1)
     grads.blocks["dec.cross_attn.wkv"] += _rows(mem).T @ dkv
-    grads.blocks["dec.cross_attn.bkv"] += dkv.sum(axis=0)
+    grads.blocks["dec.cross_attn.bkv"] += np.add.reduce(dkv, axis=0)
     _embed_backward(params, params.tgt_embed_name, y_in, dh, grads)
     return dmem
 
@@ -1071,10 +1117,10 @@ def _attend_precomputed(q: np.ndarray, wo, bo, kh: np.ndarray, vh: np.ndarray,
     each way."""
     n_heads, _, dh = kh.shape
     if q.ndim == 1:
-        _, ah = _attend(q.reshape(n_heads, 1, dh), kh, vh, mask)
+        ah = _attend(q.reshape(n_heads, 1, dh), kh, mask) @ vh
         a = ah.reshape(q.shape)
     else:
-        _, ah = _attend(q.reshape(-1, n_heads, dh).swapaxes(0, 1), kh, vh, mask)
+        ah = _attend(q.reshape(-1, n_heads, dh).swapaxes(0, 1), kh, mask) @ vh
         a = ah.swapaxes(0, 1).reshape(q.shape)
     out = np.dot(a, wo)
     out += bo

@@ -42,7 +42,17 @@ INFINITE_K = math.inf
 
 # padded target positions (rows x longest target) per forward/backward pass:
 # large enough to amortize per-call overhead, small enough that activations
-# stay a few hundred kB
+# stay a few hundred kB.  Median ms of one train pass on the benchmark's
+# seed-5 inputs (7 passes after 2 warm-up, one BLAS thread, 2-core Xeon VM)
+# and the pass's minor faults, with the default allocator, then with glibc
+# tunables (mmap_threshold 32 MiB, trim_threshold 1 GiB, top_pad 256 MiB)
+# under which the pass faults no more:
+#   budget     16    24    32    48    64    128   256    512    1024
+#   default    405   303   274   229   212   222   249    308    295
+#   faults     1322  1292  1322  1308  1492  8637  16574  28472  28472
+#   no faults  374   294   263   221   202   200   210    234    235
+# Larger groups gain nothing even when they stop faulting, so a buffer
+# arena that kept activations mapped would not pay here
 _GROUP_POSITIONS = 64
 # the same budget for passes without a backward (the dev loss): they keep
 # no activations, so larger groups and decoder chunks cost little memory and
@@ -78,10 +88,10 @@ def wait_k_z(k: float, t: int, src_len: int) -> int:
     return min(k + t - 1, src_len)
 
 
-def _wait_k_rows(ks, src_len: int, tgt_len: int) -> np.ndarray:
+def _wait_k_rows(ks, src_len, tgt_len: int) -> np.ndarray:
     """``wait_k_z(k, t, src_len)`` for t = 1..tgt_len and every k in
     ``ks``, which the caller has validated, as one broadcast:
-    (len(ks), tgt_len)."""
+    (len(ks), tgt_len).  ``src_len`` is one length or (len(ks), 1)."""
     k = np.asarray(ks, dtype=np.float64)[:, None]  # float: k may be infinite
     return np.minimum(k + np.arange(tgt_len), src_len).astype(np.int64)
 
@@ -155,12 +165,14 @@ def _teacher_forcing(targets):
 
 def _target_rows(targets, ks, src_lens):
     """Teacher-forcing rows for (target, k, |x|) triples, padded:
-    (y_in, gold, target lengths, wait-k path with 0 on padding)."""
+    (y_in, gold, target lengths, wait-k path with 0 on padding).  The
+    paths of all rows are one broadcast."""
     y_in, gold, y_len = _teacher_forcing(targets)
-    path = np.zeros_like(gold)
-    for row, k, n, m in zip(path, ks, src_lens, y_len):
+    for k, n in zip(ks, src_lens):
         wait_k_z(k, 1, n)  # validates k
-        row[:m] = _wait_k_rows([k], n, m)[0]
+    width = gold.shape[1]
+    path = _wait_k_rows(ks, src_lens[:, None], width)
+    path *= np.arange(width) < y_len[:, None]
     return y_in, gold, y_len, path
 
 

@@ -211,6 +211,9 @@ def padded(xs, ys, paths, fill=None):
 def test_pad_batch_and_path_visibility():
     ids, lens = M.pad_batch([[4, 5, 6], [7]])
     assert ids.tolist() == [[4, 5, 6], [7, 0, 0]] and lens.tolist() == [3, 1]
+    for bad in ([[4, 5.5], [7]], [[4], [True, "5"]]):     # 5.5 used to be stored as 5
+        with pytest.raises(ValueError, match="ids must be integers"):
+            M.pad_batch(bad)
     ids[1, 2] = 9
     x_model = M.with_source_markers(ids, lens)
     assert x_model.tolist() == [[4, 5, 6, EOS], [7, EOS, 9, 0]]
@@ -341,9 +344,9 @@ def test_batched_primitives_equal_their_two_temporary_forms_bitwise(config):
         assert np.array_equal(out, a @ t[f"{prefix}.wo"] + t[f"{prefix}.bo"])
 
         prefix = "dec.0.ffn"
-        out, (_, h1, r, _) = M.ffn(params, prefix, x)
-        assert np.array_equal(h1, x @ t[f"{prefix}.w1"] + t[f"{prefix}.b1"])
-        assert np.array_equal(r, np.maximum(h1, 0.0))
+        out, (x_kept, r, kept_prefix) = M.ffn(params, prefix, x)
+        assert x_kept is x and kept_prefix == prefix
+        assert np.array_equal(r, np.maximum(x @ t[f"{prefix}.w1"] + t[f"{prefix}.b1"], 0.0))
         assert np.array_equal(out, r @ t[f"{prefix}.w2"] + t[f"{prefix}.b2"])
 
 
@@ -849,6 +852,220 @@ def test_streaming_kernels_equal_the_reference_bit_for_bit(n_heads, joint, tied)
         for _ in range(4):
             back = chain[int(rng.integers(0, len(chain) - 1))]
             steps(encs[-1], back, 3, lambda _: int(rng.integers(1, n + 1)))
+
+
+# ---------------------------------------------------------------------------
+# reference training primitives: layer_norm_backward, attention,
+# attention_backward, ffn and ffn_backward written with one fresh array per
+# operation and heads merged by copies, as they stood before their bodies
+# moved to in-place forms and head-merged buffers; the model must equal them
+# bit for bit
+
+def ref_rows(x):
+    return x.reshape(-1, x.shape[-1])
+
+
+def ref_split_heads(x, n_heads):
+    b, m, d = x.shape
+    return x.reshape(b, m, n_heads, d // n_heads).transpose(0, 2, 1, 3)
+
+
+def ref_merge_heads(x):
+    b, h, m, dh = x.shape
+    return x.transpose(0, 2, 1, 3).reshape(b, m, h * dh)
+
+
+def ref_layer_norm_backward(dy, cache):
+    xhat, inv, g = cache
+    dg = ref_rows(dy * xhat).sum(axis=0)
+    db = ref_rows(dy).sum(axis=0)
+    dxhat = dy * g
+    n = dy.shape[-1]
+    m1 = np.add.reduce(dxhat, axis=-1, keepdims=True) / n
+    m2 = np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / n
+    dx = inv * (dxhat - m1 - xhat * m2)
+    return dx, dg, db
+
+
+def ref_attention(params, prefix, x, mask, kv=None):
+    t = params.tensors
+    h = params.config.n_heads
+    if kv is None:
+        d = params.config.d_model
+        qkv = x @ params.blocks[f"{prefix}.wqkv"]
+        qkv += params.blocks[f"{prefix}.bqkv"]
+        qh, kh, vh = (ref_split_heads(qkv[..., i * d : (i + 1) * d], h) for i in range(3))
+    else:
+        q = x @ t[f"{prefix}.wq"]
+        q += t[f"{prefix}.bq"]
+        qh = ref_split_heads(q, h)
+        kh, vh = kv
+    p = qh @ kh.swapaxes(-1, -2)
+    p *= 1.0 / math.sqrt(qh.shape[-1])
+    if mask is not None:
+        masked = p[..., -mask.shape[-1]:]
+        masked += mask[..., None, :, :]
+    p -= np.maximum.reduce(p, axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= np.add.reduce(p, axis=-1, keepdims=True)
+    a = ref_merge_heads(p @ vh)
+    out = a @ t[f"{prefix}.wo"]
+    out += t[f"{prefix}.bo"]
+    return out, (x, kv is None, qh, kh, vh, p, a, prefix)
+
+
+def ref_attention_backward(params, dout, cache, grads):
+    x, self_attention, qh, kh, vh, p, a, prefix = cache
+    t, g = params.tensors, grads.tensors
+    h = params.config.n_heads
+    scale = 1.0 / math.sqrt(params.config.head_dim)
+    g[f"{prefix}.wo"] += ref_rows(a).T @ ref_rows(dout)
+    g[f"{prefix}.bo"] += ref_rows(dout).sum(axis=0)
+    da = dout @ t[f"{prefix}.wo"].T
+    dah = ref_split_heads(da, h)
+    dp = dah @ vh.swapaxes(-1, -2)
+    dvh = p.swapaxes(-1, -2) @ dah
+    dscores = p * (dp - (dp * p).sum(axis=-1, keepdims=True))
+    dscores *= scale
+    dqh = dscores @ kh
+    dkh = dscores.swapaxes(-1, -2) @ qh
+    dq, dk, dv = ref_merge_heads(dqh), ref_merge_heads(dkh), ref_merge_heads(dvh)
+    if self_attention:
+        dqkv = np.concatenate((ref_rows(dq), ref_rows(dk), ref_rows(dv)), axis=1)
+        grads.blocks[f"{prefix}.wqkv"] += ref_rows(x).T @ dqkv
+        grads.blocks[f"{prefix}.bqkv"] += dqkv.sum(axis=0)
+        dkv = None
+    else:
+        g[f"{prefix}.wq"] += ref_rows(x).T @ ref_rows(dq)
+        g[f"{prefix}.bq"] += ref_rows(dq).sum(axis=0)
+        dkv = np.concatenate((ref_rows(dk), ref_rows(dv)), axis=1)
+    dq_in = dq @ t[f"{prefix}.wq"].T
+    dkv_in = dk @ t[f"{prefix}.wk"].T + dv @ t[f"{prefix}.wv"].T
+    return dq_in, dkv_in, dkv
+
+
+def ref_ffn_batch(params, prefix, x):
+    t = params.tensors
+    h1 = x @ t[f"{prefix}.w1"]
+    h1 += t[f"{prefix}.b1"]
+    r = np.maximum(h1, 0.0)
+    out = r @ t[f"{prefix}.w2"]
+    out += t[f"{prefix}.b2"]
+    return out, (x, h1, r, prefix)
+
+
+def ref_ffn_backward(params, dout, cache, grads):
+    x, h1, r, prefix = cache
+    t, g = params.tensors, grads.tensors
+    g[f"{prefix}.w2"] += ref_rows(r).T @ ref_rows(dout)
+    g[f"{prefix}.b2"] += ref_rows(dout).sum(axis=0)
+    dr = dout @ t[f"{prefix}.w2"].T
+    dh1 = dr * (h1 > 0.0)
+    g[f"{prefix}.w1"] += ref_rows(x).T @ ref_rows(dh1)
+    g[f"{prefix}.b1"] += ref_rows(dh1).sum(axis=0)
+    return dh1 @ t[f"{prefix}.w1"].T
+
+
+def _equal(got, want):
+    """Bitwise equality of two results, NaN where NaN, through tuples."""
+    if isinstance(want, tuple):
+        return len(got) == len(want) and all(_equal(a, b) for a, b in zip(got, want))
+    if isinstance(want, np.ndarray):
+        return (isinstance(got, np.ndarray) and got.shape == want.shape
+                and np.array_equal(got, want, equal_nan=True))
+    return got is want or got == want
+
+
+def _backward_pair(params, rng, backward, ref_backward, dout, cache, ref_cache):
+    """Run the model's and the reference's backward into grads that start
+    from the same nonzero values; returns (results equal?, grads equal?)."""
+    grads, ref_grads = M.zero_grads(params), M.zero_grads(params)
+    grads.vector[:] = ref_grads.vector[:] = rng.normal(size=grads.vector.shape)
+    got = backward(params, dout, cache, grads)
+    want = ref_backward(params, dout, ref_cache, ref_grads)
+    return _equal(got, want), np.array_equal(grads.vector, ref_grads.vector, equal_nan=True)
+
+
+@pytest.mark.parametrize("n_heads,d_model", [(1, 32), (4, 32), (1, 64), (4, 64)])
+def test_training_primitives_equal_the_reference_bit_for_bit(n_heads, d_model):
+    cfg = M.ModelConfig(src_vocab_size=16, tgt_vocab_size=16, d_model=d_model,
+                        n_heads=n_heads, n_enc_layers=1, n_dec_layers=2, d_ffn=2 * d_model)
+    rng = np.random.default_rng(n_heads * 1000 + d_model)
+    params = M.init_parameters(cfg, seed=n_heads + d_model)
+    params.vector += 0.1 * rng.normal(size=params.vector.shape)   # nonzero biases, gains off 1
+    t = params.tensors
+    for b in (1, 3):
+        for m, n in ((1, 1), (1, 6), (7, 7), (5, 11)):
+            x = rng.normal(size=(b, m, d_model))
+            mem = rng.normal(size=(b, n, d_model))
+            masks = (M.causal_mask(m, n, offset=n - m),
+                     M.visibility_mask(rng.integers(1, n + 1, size=(b, m)), n))
+            for mask in masks:
+                # self-attention (its keys are its own rows, so m must be n),
+                # then cross-attention over the memory's key and value heads
+                cases = [("enc.0.attn", None)] if m == n else []
+                cases.append(("dec.1.cross_attn", separate_kv(params, "dec.1.cross_attn", mem)))
+                for prefix, kv in cases:
+                    out, cache = M.attention(params, prefix, x, mask, kv)
+                    want, ref_cache = ref_attention(params, prefix, x, mask, kv)
+                    assert _equal(out, want) and _equal(cache, ref_cache), prefix
+                    dout = rng.normal(size=out.shape)
+                    assert _backward_pair(params, rng, M.attention_backward,
+                                          ref_attention_backward, dout, cache,
+                                          ref_cache) == (True, True), prefix
+
+            y, ln_cache = M.layer_norm(x, t["enc.0.ln1.g"], t["enc.0.ln1.b"])
+            dy = rng.normal(size=y.shape)
+            assert _equal(M.layer_norm_backward(dy, ln_cache), ref_layer_norm_backward(dy, ln_cache))
+
+            # pre-activations of NaN (a NaN input row) and of exact 0.0 (a
+            # zero input row against zero biases) next to ordinary ones
+            xf = x.copy()
+            rows = xf.reshape(-1, d_model)
+            rows[0] = np.nan
+            if len(rows) > 1:
+                rows[-1] = 0.0
+            b1 = t["dec.0.ffn.b1"]
+            b1[: d_model // 2] = 0.0
+            out, cache = M.ffn(params, "dec.0.ffn", xf)
+            want, ref_cache = ref_ffn_batch(params, "dec.0.ffn", xf)
+            h1 = ref_cache[1]
+            assert np.isnan(h1).any() and (len(rows) == 1 or (h1 == 0.0).any())
+            assert _equal(out, want)
+            assert _equal(cache, (ref_cache[0], ref_cache[2], ref_cache[3]))
+            dout = rng.normal(size=out.shape)
+            assert _backward_pair(params, rng, M.ffn_backward, ref_ffn_backward,
+                                  dout, cache, ref_cache) == (True, True)
+
+            # no product makes -0.0, so the ReLU masks meet it through a cache:
+            # a pre-activation holding NaN, 0.0, -0.0 and both signs
+            h1 = rng.normal(size=(b, m, 2 * d_model))
+            h1.flat[:4] = np.nan, 0.0, -0.0, -0.0
+            assert np.signbit(h1).any() and (h1 == 0.0).sum() == 3
+            r = np.maximum(h1, 0.0)
+            assert _backward_pair(params, rng, M.ffn_backward, ref_ffn_backward, dout,
+                                  (xf, r, "dec.0.ffn"),
+                                  (xf, h1, r, "dec.0.ffn")) == (True, True)
+
+
+def test_a_cache_backpropagates_twice_with_the_same_bits():
+    # the backward passes work in place only in arrays they make: neither
+    # the caller's dlogp nor any array of the cache changes, so a second
+    # backward from one cache gives the first one's gradients bit for bit
+    params = small_params(seed=12)
+    rng = np.random.default_rng(13)
+    params.vector += 0.1 * rng.normal(size=params.vector.shape)
+    x, x_len, y_in, path = padded(*random_batch(rng, 7))
+    logp, cache = M.forward_full(params, x, y_in, path, x_len)
+    dlogp = np.where((path > 0)[..., None], rng.normal(size=logp.shape), 0.0)
+    kept = [a.copy() for a in _arrays_in(cache)]
+    dlogp_before, params_before = dlogp.copy(), params.vector.copy()
+    first = M.backward_full(params, cache, dlogp, M.zero_grads(params))
+    second = M.backward_full(params, cache, dlogp, M.zero_grads(params))
+    assert np.array_equal(first.vector, second.vector)
+    assert np.array_equal(dlogp, dlogp_before)
+    assert np.array_equal(params.vector, params_before)
+    assert all(np.array_equal(a, b) for a, b in zip(_arrays_in(cache), kept, strict=True))
 
 
 def test_flat_vectors_start_on_a_cache_line(tmp_path):

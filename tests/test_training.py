@@ -59,6 +59,41 @@ def test_wait_k_path():
             T.path_loss(small_params(), pair, k)
 
 
+def test_target_rows_hold_each_rows_wait_k_path():
+    # the rows' paths come from one broadcast: each is wait_k_z per real
+    # position, then 0 on padding, and every row's k is still validated
+    rng = np.random.default_rng(21)
+    targets = [tuple(rng.integers(4, 16, size=n)) + (EOS,) for n in (0, 3, 7, 2, 5)]
+    ks = [1, 2, T.INFINITE_K, 9, 3]
+    src_lens = np.array([4, 1, 6, 5, 2])
+    y_in, gold, y_len, path = T._target_rows(targets, ks, src_lens)
+    assert path.dtype == np.int64 and path.shape == gold.shape == y_in.shape
+    for row, k, n, m in zip(path.tolist(), ks, src_lens, y_len):
+        assert row == [T.wait_k_z(k, t, int(n)) for t in range(1, m + 1)] + [0] * (len(row) - m)
+    for bad in (0, 2.5, -1):
+        with pytest.raises(ValueError, match="k must be"):
+            T._target_rows(targets, ks[:3] + [bad] + ks[4:], src_lens)
+
+
+@pytest.mark.parametrize("entry", ["path_loss", "train", "dev_loss"])
+@pytest.mark.parametrize("source,target", [((4.5, 6), (5, EOS)), ((4, 6), (5.5, EOS))])
+def test_training_entries_refuse_fractional_ids(entry, source, target):
+    # pad_batch used to store 4.5 as 4, so each entry scored the sentence
+    # of the ids' floors: path_loss read 6.374691699685705 for both
+    params = M.init_parameters(M.desk_config(16), seed=0)
+    before = params.vector.copy()
+    bad, ok = SentencePair(source, target), SentencePair((4, 6), (5, EOS))
+    with pytest.raises(ValueError, match="ids must be integers"):
+        if entry == "path_loss":
+            T.path_loss(params, bad, 2)
+        elif entry == "train":
+            T.train(params, [ok, bad], [ok], T.LossConfig(), epochs=1, seed=0)
+        else:
+            T.dev_loss(params, [ok, bad], T.LossConfig())
+    assert np.array_equal(params.vector, before)
+    assert T.path_loss(params, ok, 2) == 6.374691699685705
+
+
 # ---------------------------------------------------------------------------
 # label-smoothed loss
 
