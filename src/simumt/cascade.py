@@ -7,7 +7,8 @@ normalized, subword-encoded transcription to the MT source.  The policy
 (`CascadeConfig`) writes greedy tokens while the written count stays under
 alpha * |transcribed tokens| + beta, and reads otherwise.  The run ends
 when the MT writes EOS, or at audio depletion once the budget is spent.
-`AudioBlocks` holds the block arithmetic for every speech path.
+`AudioBlocks` holds the block arithmetic for every speech path, and
+`words_ended_by` the word timing the recognizer and the server share.
 
 Endpointing follows four configurable rule shapes over the recognizer
 snapshot: (a) long silence, decoded or not; (b) something decoded, a
@@ -58,10 +59,18 @@ class TimedWord:
 @dataclass(frozen=True)
 class AudioBlocks:
     """``total_ms`` of audio read in blocks of ``block_ms``: the last block
-    may be short, and an empty stream still has one block."""
+    may be short, and an empty stream still has one block.  A ``block_ms``
+    not in (0, inf) or ``total_ms`` not in [0, MAX_STREAM_MS] raises."""
 
     total_ms: float
     block_ms: float
+
+    def __post_init__(self) -> None:
+        # written so that NaN fails too
+        if not 0 < self.block_ms < math.inf:
+            raise ValueError(f"block_ms must be positive and finite, got {self.block_ms!r}")
+        if not 0 <= self.total_ms <= MAX_STREAM_MS:
+            raise ValueError(f"total_ms must lie in [0, MAX_STREAM_MS], got {self.total_ms!r}")
 
     @classmethod
     def of(cls, words: Sequence[TimedWord], block_ms: float) -> "AudioBlocks":
@@ -75,6 +84,15 @@ class AudioBlocks:
     def consumed_ms(self, blocks: int) -> float:
         """Audio covered once ``blocks`` blocks are read."""
         return min(blocks * self.block_ms, self.total_ms)
+
+
+def words_ended_by(words: Sequence[TimedWord], t_ms: float, lo: int) -> int:
+    """The first index from ``lo`` whose word ends after ``t_ms``, the ends
+    increasing (`validate_stream`); a scan, as a call passes 0-1 words."""
+    n = len(words)
+    while lo < n and words[lo].end_ms <= t_ms:
+        lo += 1
+    return lo
 
 
 def validate_stream(words: Sequence[TimedWord]) -> None:
@@ -171,8 +189,7 @@ class CascadeConfig:
         # written so that NaN fails too
         if not (0 <= self.alpha < math.inf and 1 <= self.beta < math.inf):
             raise ValueError("need finite alpha >= 0 and beta >= 1")
-        if not 0 < self.block_ms < math.inf:
-            raise ValueError("block_ms must be positive and finite")
+        AudioBlocks(0.0, self.block_ms)      # refuses a bad block_ms
         object.__setattr__(self, "endpoint_rules", tuple(self.endpoint_rules))
 
     def write_budget(self, observed: int) -> float:
@@ -193,8 +210,8 @@ class AsrStep:
 class AsrSimulator:
     """Replays a timed word stream as an incremental recognizer.
 
-    A word is decoded once the audio covers its end.  Each word can carry
-    a scripted (final_state, cost) pair; by default every decoded word
+    A word is decoded once the audio covers its end (`words_ended_by`).
+    Each word can carry a scripted (final_state, cost) pair; by default every decoded word
     leaves the decoder in a final state at relative cost 0.  Endpointing
     resets the utterance clock and withholds emitted words from later
     snapshots.
@@ -241,9 +258,7 @@ class AsrSimulator:
         if to_ms < self.now_ms:
             raise ValueError("audio time cannot go backwards")
         self.now_ms = to_ms
-        while (self.next_word < len(self.words)
-               and self.words[self.next_word].end_ms <= to_ms):
-            self.next_word += 1
+        self.next_word = words_ended_by(self.words, to_ms, self.next_word)
         snap = self.snapshot()
         fired, rule = _first_firing(snap, self.rules)
         emitted: list[str] = []
@@ -262,11 +277,11 @@ class AsrSimulator:
 
 @dataclass
 class CascadeMT:
-    """Translation side of the cascade: models plus the text pipeline."""
+    """Translation side of the cascade: models plus the encoder of
+    transcripts normalized by `asr_normalize`'s default lexicon."""
 
     models: list                     # Parameters or session objects
     encode_source: Callable[[str], list[int]]  # normalized text -> ids
-    number_lexicon: dict | None = None
 
 
 @dataclass
@@ -280,18 +295,17 @@ class CascadeResult:
 def cascade_decode(stream: Sequence[TimedWord], mt: CascadeMT,
                    config: CascadeConfig, cost_script=None,
                    total_ms: float | None = None,
-                   reset_target_on_endpoint: bool = False,
                    hard_cap: int = 1000) -> CascadeResult:
     """Run the read/write driver over one audio stream, ``config.sz``
     blocks at a time per recognizer step.
 
     The trace has one READ per audio block (g_ms stamps the consumed
-    audio) and one WRITE per emitted token.  The target-side prefix
-    persists across endpoints unless ``reset_target_on_endpoint`` (each
-    session's ``reset_target`` then runs after an endpoint fires); the
-    source side always continues, with the end-of-source marker appended
-    exactly once at audio depletion.  ``hard_cap`` bounds total writes in
-    case EOS never comes (the result is then flagged truncated).
+    audio) and one WRITE per emitted token.  The target prefix and the
+    source persist across endpoints, with the end-of-source marker
+    appended exactly once at audio depletion.  An audio length (``total_ms``
+    or the last word's end) `AudioBlocks` refuses raises before any read.
+    ``hard_cap`` bounds total writes in case EOS never comes (the result
+    is then flagged truncated).
     """
     sim = AsrSimulator(stream, config.endpoint_rules, cost_script, total_ms)
     blocks = AudioBlocks(sim.total_ms, config.block_ms)
@@ -306,11 +320,10 @@ def cascade_decode(stream: Sequence[TimedWord], mt: CascadeMT,
             step = sim.advance(blocks.consumed_ms(z))
             if step.endpoint_fired or z == n_blocks:
                 words = step.words if step.endpoint_fired else sim.flush()
-                text = asr_normalize(" ".join(words), mt.number_lexicon) if words else ""
+                text = asr_normalize(" ".join(words)) if words else ""
                 ids = mt.encode_source(text) if text else []
                 transcribed += len(ids)
                 yield Chunk(ids=ids, units=z - start, ended=z == n_blocks,
-                            restart_target=step.endpoint_fired and reset_target_on_endpoint,
                             at_ms=blocks.consumed_ms(z))
                 start = z
 

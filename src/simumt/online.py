@@ -10,7 +10,9 @@ the written tokens.
 `Chunk` per read attempt: local tokens here, READ frames in `server`,
 timed audio through the recognizer in `cascade`.  A *policy* decides from
 what the decoder has observed whether it reads or writes next:
-`OnlinePolicy` for wait-k, `cascade.CascadeConfig` for the cascade.
+`OnlinePolicy` for wait-k, `cascade.CascadeConfig` for the cascade.  A
+*session* per model has three methods: extend_source, next_logprobs and
+commit; its target prefix only grows within a run.
 
 Decoding keeps incremental encoder/decoder states so each step costs one
 block extension or one decoder step, never a re-run.  A local sentence's
@@ -191,13 +193,6 @@ class ModelSession:
         self._pending = None
         self.prev = token
 
-    def reset_target(self) -> None:
-        """Start a new target sentence; the source, encoded or waiting,
-        is kept."""
-        self.dec = None
-        self.prev = BOS
-        self._pending = None
-
 
 def _sessions(models) -> list:
     """A Parameters, or a list of Parameters and session objects, as
@@ -236,7 +231,6 @@ class Chunk(NamedTuple):
     ids: Sequence[int] = ()         # source ids to encode
     units: int = 0                  # read units consumed: tokens or audio blocks
     ended: bool = False             # the attempt found the end of the source
-    restart_target: bool = False    # begin a new target sentence (cascade endpoint)
     at_ms: float | None = None      # audio consumed once this read is done
 
 
@@ -254,9 +248,9 @@ def read_write_decode(models, source, policy, on_write=None,
     ``max_writes`` caps content writes (the run is then truncated).
 
     ``models`` is a Parameters, a list of Parameters, or session objects
-    exposing extend_source/next_logprobs/commit/reset_target (all members
-    advance in lock step).  Returns (tokens, trace): tokens exclude the
-    final EOS, the trace includes its write.
+    exposing extend_source/next_logprobs/commit (all members advance in
+    lock step).  Returns (tokens, trace): tokens exclude the final EOS,
+    the trace includes its write.
     """
     sessions = _sessions(models)
     events: list = []
@@ -276,8 +270,6 @@ def read_write_decode(models, source, policy, on_write=None,
                     s.extend_source(chunk.ids)
                 if chunk.ended:
                     s.extend_source([EOS])
-                if chunk.restart_target:
-                    s.reset_target()
             observed += len(chunk.ids)
             ended = chunk.ended
             continue

@@ -35,14 +35,12 @@ the wire: a READ frame per token, {"eos": true} as the end.
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
-from operator import attrgetter
 import socket
 import socketserver
 import threading
 from dataclasses import dataclass, field
 
-from .cascade import AudioBlocks, validate_stream
+from .cascade import AudioBlocks, validate_stream, words_ended_by
 from .metrics import score_runs
 from .online import ActionTrace, Chunk, ReadEvent, WriteEvent, read_write_decode
 from .sweep import Testset
@@ -57,7 +55,8 @@ MAX_CONNECTIONS = 64            # live connections, each with its own thread
 class ServerTestset(Testset):
     """What the server serves and scores against: t2t sources are
     token-string sequences, s2t sources TimedWord streams (without
-    overlaps) revealed in fixed audio blocks."""
+    overlaps) revealed in fixed audio blocks; a ``block_ms`` `AudioBlocks`
+    refuses raises here, not at the first READ."""
 
     mode: str                       # "t2t" | "s2t"
     block_ms: float = 100.0
@@ -69,6 +68,7 @@ class ServerTestset(Testset):
         if self.mode == "s2t":
             for src in self.sources:
                 validate_stream(src)
+                AudioBlocks.of(src, self.block_ms)
 
 
 @dataclass
@@ -196,6 +196,8 @@ class EvalServer(socketserver.ThreadingTCPServer):
             return session
 
     def reveal(self, session: EvalSession) -> dict:
+        """A READ's answer: the next token, or the next block with the words
+        ending in it (`cascade.words_ended_by`); the end marker after."""
         src = self.testset.sources[session.session_id]
         if self.testset.mode == "t2t":
             if session.revealed >= len(src):
@@ -207,9 +209,7 @@ class EvalServer(socketserver.ThreadingTCPServer):
         if session.revealed >= session.blocks.n_blocks:
             return {"eos": True}
         t1 = session.blocks.consumed_ms(session.revealed + 1)
-        # word ends increase (validate_stream): the block's words are the
-        # next ones ending by t1
-        end = bisect_right(src, t1, lo=session.next_word, key=attrgetter("end_ms"))
+        end = words_ended_by(src, t1, session.next_word)
         words = [{"word": w.word, "start_ms": w.start_ms, "duration_ms": w.duration_ms}
                  for w in src[session.next_word:end]]
         session.next_word = end

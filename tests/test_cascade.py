@@ -43,19 +43,14 @@ class ScriptedSession:
         self.prev = token
         self.i += 1
 
-    def reset_target(self):
-        self.calls.append(("reset",))
-        self.prev = BOS
-        self._pending = None
 
-
-def word_per_token_mt(sessions_or_script, **kw):
+def word_per_token_mt(sessions_or_script):
     """MT whose encoder maps every transcribed word to one token id 5."""
     if isinstance(sessions_or_script, list) and sessions_or_script and \
             not hasattr(sessions_or_script[0], "extend_source"):
         sessions_or_script = [ScriptedSession(sessions_or_script)]
     return C.CascadeMT(models=sessions_or_script,
-                       encode_source=lambda text: [5] * len(text.split()), **kw)
+                       encode_source=lambda text: [5] * len(text.split()))
 
 
 # ---------------------------------------------------------------------------
@@ -313,28 +308,35 @@ def test_cascade_hard_cap():
     assert res.truncated
 
 
-def test_cascade_target_reset_flag():
+def test_cascade_target_prefix_persists_across_endpoints():
     # two utterances, each closed by a rule-c endpoint (trailing silence is
-    # padded with total_ms so the second fire precedes depletion); with the
-    # flag the decoder prefix restarts from BOS after each fire
+    # padded with total_ms so the second fire precedes depletion); the first
+    # writes 7, 8 (budget 2), and after the second endpoint the recorded
+    # prefix token is 8, not BOS
     stream = [tw("one", 0, 400), tw("two", 3000, 400)]
     cfg = C.CascadeConfig(sz=1, alpha=1.0, beta=1.0, endpoint_rules=c_only())
-
     sess = ScriptedSession([7, 8, 9, EOS])
-    C.cascade_decode(stream, word_per_token_mt([sess]), cfg, total_ms=6000.0,
-                     reset_target_on_endpoint=True)
-    prevs = [c[2] for c in sess.calls if c[0] == "probs"]
-    # first utterance writes 7, 8 (budget 2); after the second endpoint the
-    # recorded prefix token is BOS again rather than 8
-    assert prevs == [BOS, 7, BOS]
-    assert ("reset",) in sess.calls
+    C.cascade_decode(stream, word_per_token_mt([sess]), cfg, total_ms=6000.0)
+    assert [c[2] for c in sess.calls if c[0] == "probs"] == [BOS, 7, 8]
 
-    sess2 = ScriptedSession([7, 8, 9, EOS])
-    C.cascade_decode(stream, word_per_token_mt([sess2]), cfg, total_ms=6000.0,
-                     reset_target_on_endpoint=False)
-    prevs2 = [c[2] for c in sess2.calls if c[0] == "probs"]
-    assert prevs2 == [BOS, 7, 8]         # prefix persists across endpoints
-    assert ("reset",) not in sess2.calls
+
+@pytest.mark.parametrize("total_ms, block_ms", [
+    (100.0, 0.0), (100.0, -100.0), (100.0, math.nan), (100.0, math.inf),
+    (-1.0, 100.0), (math.nan, 100.0), (math.inf, 100.0), (1e12, 100.0)])
+def test_audio_blocks_refuse_bad_sizes(total_ms, block_ms):
+    # block_ms=0 divided by zero at the first READ; 1e12 ms stepped through
+    # 10^10 blocks
+    with pytest.raises(ValueError):
+        C.AudioBlocks(total_ms, block_ms)
+
+
+def test_cascade_refuses_infinite_audio_before_any_read():
+    # total_ms=inf raised OverflowError counting the blocks
+    sess = ScriptedSession([EOS])
+    with pytest.raises(ValueError, match="total_ms"):
+        C.cascade_decode([tw("hi", 0, 100)], word_per_token_mt([sess]), C.CascadeConfig(),
+                         total_ms=math.inf)
+    assert sess.calls == []
 
 
 def test_cascade_normalizes_transcripts():

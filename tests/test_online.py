@@ -203,25 +203,6 @@ def test_online_waitk_trace_is_valid_for_real_model():
         assert gs == [min(k + t, 6) for t in range(len(gs))]
 
 
-def test_model_session_reset_target_keeps_source():
-    params = small_params(seed=5)
-    s = O.ModelSession(params)
-    s.extend_source([4, 5, 6])
-    first = s.next_logprobs(2)
-    s.commit(7)
-    s.next_logprobs(3)
-    s.reset_target()
-    with pytest.raises(RuntimeError):    # the pending step is dropped too
-        s.commit(8)
-    assert s.n_encoded == 3
-    assert np.array_equal(s.next_logprobs(2), first)
-    waiting = O.ModelSession(params)         # ids not yet encoded survive a reset
-    waiting.extend_source([4, 5, 6])
-    waiting.reset_target()
-    assert waiting.n_encoded == 3
-    assert np.array_equal(waiting.next_logprobs(2), first)
-
-
 class PerTokenSession:
     """A session that encodes every source id in its own call, as one-row
     encoder extensions."""

@@ -2,6 +2,7 @@ import json
 import math
 import socket
 import struct
+import sys
 import time
 from contextlib import contextmanager
 from dataclasses import replace
@@ -14,8 +15,8 @@ from hypothesis import strategies as st
 from simumt import model as M
 from simumt import server as S
 from simumt import sweep as W
-from simumt.cascade import (AudioBlocks, CascadeConfig, CascadeMT, EndpointRule,
-                            TimedWord, cascade_decode)
+from simumt.cascade import (AsrSimulator, AudioBlocks, CascadeConfig, CascadeMT,
+                            EndpointRule, TimedWord, cascade_decode)
 from simumt.corpus import toy_vocabulary
 from simumt.online import OnlinePolicy, ReadEvent, online_greedy_decode
 from simumt.training import INFINITE_K
@@ -62,12 +63,17 @@ class RawClient:
 
 @contextmanager
 def running(testset):
+    """A background server; on a clean exit, asserts that no handler raised
+    (`handle_error` would only print a traceback)."""
     srv = S.serve_eval("127.0.0.1", 0, testset)
+    errors = []
+    srv.handle_error = lambda request, address: errors.append(sys.exc_info()[1])
     srv.start_background()
     try:
         yield srv, srv.server_address[0], srv.server_address[1]
     finally:
         srv.stop()
+    assert errors == []
 
 
 def test_stop_returns_promptly():
@@ -107,6 +113,15 @@ def test_testset_rejects_an_empty_source_or_stream():
                         detokenize=detok)
     with pytest.raises(ValueError, match="source 0 is empty"):
         S.ServerTestset(mode="s2t", sources=[[]], references=["x"], detokenize=detok)
+
+
+@pytest.mark.parametrize("block_ms", [0.0, math.nan, -100.0])
+def test_s2t_testset_refuses_a_bad_block_size(block_ms):
+    # 0 and NaN failed at the first READ on the handler thread, and the
+    # client saw only a closed socket; -100 was served as it stood
+    with pytest.raises(ValueError, match="block_ms"):
+        S.ServerTestset(mode="s2t", sources=[[TimedWord("a", 0, 100)]], references=["x"],
+                        detokenize=detok, block_ms=block_ms)
 
 
 def test_s2t_testset_rejects_overlapping_stream():
@@ -265,8 +280,6 @@ def test_silent_connection_times_out_quietly(monkeypatch):
     # with no timeout a silent client held its thread and session forever
     monkeypatch.setattr(S, "IDLE_TIMEOUT_S", 0.2)
     with running(t2t_testset()) as (srv, host, port):
-        errors = []
-        monkeypatch.setattr(srv, "handle_error", lambda *a: errors.append(a))
         c = RawClient(host, port)
         assert c.call({"act": "START", "id": 0})["ok"]
         t0 = time.monotonic()
@@ -274,20 +287,16 @@ def test_silent_connection_times_out_quietly(monkeypatch):
         assert 0.15 < time.monotonic() - t0 < 5.0
         c.close()
         _wait_for(lambda: srv.sessions[0].aborted)
-        assert errors == []                     # handle_error prints a traceback
 
 
-def test_reset_connection_aborts_its_session_quietly(monkeypatch):
+def test_reset_connection_aborts_its_session_quietly():
     with running(t2t_testset()) as (srv, host, port):
-        errors = []
-        monkeypatch.setattr(srv, "handle_error", lambda *a: errors.append(a))
         c = RawClient(host, port)
         assert c.call({"act": "START", "id": 0})["ok"]
         # linger 0: close sends a reset instead of an orderly end of stream
         c.sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
         c.close()
         _wait_for(lambda: srv.sessions[0].aborted)
-        assert errors == []
         c = RawClient(host, port)
         assert "error" in c.call({"act": "SCORE"})      # the server still answers
         c.close()
@@ -442,6 +451,8 @@ def test_s2t_write_mid_stream_g_ms():
 
 def test_s2t_block_words_at_boundaries():
     # ends at 100 (on a block edge), 180 and 200 (two in one block), 450
+    # (a word spanning blocks); the recognizer hears the same words by each
+    # served block_ms
     stream = [TimedWord("a", 0, 100), TimedWord("b", 120, 60),
               TimedWord("c", 180, 20), TimedWord("d", 300, 150)]
     testset = S.ServerTestset(mode="s2t", sources=[stream], references=["x"],
@@ -454,6 +465,11 @@ def test_s2t_block_words_at_boundaries():
     assert [f["block_ms"] for f in frames] == [100, 200, 300, 400, 450]
     assert [[w["word"] for w in f["words"]] for f in frames] == \
         [["a"], ["b", "c"], [], [], ["d"]]
+    sim, served = AsrSimulator(stream, rules=[]), 0
+    for f in frames:
+        sim.advance(f["block_ms"])
+        served += len(f["words"])
+        assert sim.next_word == served
 
 
 def test_s2t_served_scores_equal_the_offline_sweep():
