@@ -31,6 +31,9 @@ from .online import ActionTrace, Chunk, read_write_decode
 INFINITE_COST = math.inf
 # the longest audio a word may end at: 24 hours, in milliseconds
 MAX_STREAM_MS = 24 * 3600 * 1000.0
+# the most audio blocks one stream may have (one READ event each); 24 hours
+# in the default 100 ms blocks is 864,000
+MAX_BLOCKS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -60,7 +63,8 @@ class TimedWord:
 class AudioBlocks:
     """``total_ms`` of audio read in blocks of ``block_ms``: the last block
     may be short, and an empty stream still has one block.  A ``block_ms``
-    not in (0, inf) or ``total_ms`` not in [0, MAX_STREAM_MS] raises."""
+    not in (0, inf), ``total_ms`` not in [0, MAX_STREAM_MS] or more than
+    ``MAX_BLOCKS`` blocks raises."""
 
     total_ms: float
     block_ms: float
@@ -71,6 +75,9 @@ class AudioBlocks:
             raise ValueError(f"block_ms must be positive and finite, got {self.block_ms!r}")
         if not 0 <= self.total_ms <= MAX_STREAM_MS:
             raise ValueError(f"total_ms must lie in [0, MAX_STREAM_MS], got {self.total_ms!r}")
+        if self.total_ms / self.block_ms > MAX_BLOCKS:
+            raise ValueError(f"block_ms={self.block_ms!r} cuts {self.total_ms!r} ms into "
+                             f"more than MAX_BLOCKS = {MAX_BLOCKS} blocks")
 
     @classmethod
     def of(cls, words: Sequence[TimedWord], block_ms: float) -> "AudioBlocks":

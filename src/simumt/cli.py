@@ -141,8 +141,7 @@ def _cmd_train(args) -> int:
     train_pairs, dev_pairs = corp.split_corpus(pairs, cfg["n_dev"])
 
     mcfg = model.ModelConfig(
-        src_vocab_size=len(subword.vocab), tgt_vocab_size=len(subword.vocab),
-        d_model=cfg["d_model"], n_heads=cfg["n_heads"],
+        vocab_size=len(subword.vocab), d_model=cfg["d_model"], n_heads=cfg["n_heads"],
         n_enc_layers=cfg["n_enc_layers"], n_dec_layers=cfg["n_dec_layers"],
         d_ffn=cfg["d_ffn"],
     )
@@ -290,8 +289,7 @@ def _cmd_serve(args) -> int:
 
 def _cmd_grad_check(args) -> int:
     rng = np.random.default_rng(args.seed)
-    cfg = model.ModelConfig(src_vocab_size=12, tgt_vocab_size=12,
-                            d_model=16, n_heads=2, n_enc_layers=1,
+    cfg = model.ModelConfig(vocab_size=12, d_model=16, n_heads=2, n_enc_layers=1,
                             n_dec_layers=1, d_ffn=24)
     params = model.init_parameters(cfg, seed=args.seed)
     src = tuple(int(v) for v in rng.integers(4, 12, size=5))

@@ -82,20 +82,21 @@ _CKPT_MAGIC = b"SMTCKPT1"
 # ---------------------------------------------------------------------------
 # configuration and parameter container
 
+# the one embedding matrix: source and target embedding and output projection
+EMBED = "embed"
+
+
 @dataclass(frozen=True)
 class ModelConfig:
-    src_vocab_size: int
-    tgt_vocab_size: int
+    vocab_size: int
     d_model: int = 64
     n_heads: int = 4
     n_enc_layers: int = 2
     n_dec_layers: int = 2
     d_ffn: int = 128
-    tie_decoder_embeddings: bool = True
-    joint_vocabulary: bool = True
 
     def __post_init__(self) -> None:
-        if min(self.src_vocab_size, self.tgt_vocab_size) < 5:
+        if self.vocab_size < 5:
             raise ValueError("vocabulary too small (specials alone take 4 ids)")
         if self.d_model < 1 or self.d_ffn < 1 or self.n_heads < 1:
             raise ValueError("model dimensions must be positive")
@@ -103,48 +104,56 @@ class ModelConfig:
             raise ValueError("need at least one layer per stack")
         if self.d_model % self.n_heads != 0:
             raise ValueError(f"n_heads {self.n_heads} must divide d_model {self.d_model}")
-        if self.joint_vocabulary and self.src_vocab_size != self.tgt_vocab_size:
-            raise ValueError("joint vocabulary requires equal vocab sizes")
 
     @property
     def head_dim(self) -> int:
         return self.d_model // self.n_heads
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The checkpoint manifest's nine keys: the one vocabulary as equal
+        source and target sizes, the dimensions, then the layout flags,
+        both true (tied output projection, joint vocabulary)."""
+        d = asdict(self)
+        v = d.pop("vocab_size")
+        return {"src_vocab_size": v, "tgt_vocab_size": v, **d,
+                "tie_decoder_embeddings": True, "joint_vocabulary": True}
 
     @classmethod
     def from_dict(cls, d) -> "ModelConfig":
-        """Build from a mapping holding exactly this class's fields, with
-        ints and bools as declared; anything else raises ValueError."""
+        """Build from a manifest's config: exactly `to_dict`'s keys, each an
+        int or a bool as `to_dict` writes it, with values `to_dict` gives
+        back unchanged.  So unequal vocabulary sizes or a false layout flag
+        (an older two-vocabulary or untied layout) raise ValueError, as
+        does any other defect."""
         if not isinstance(d, dict):
             raise ValueError(f"config must be a mapping, not {type(d).__name__}")
-        declared = {f.name: f.type for f in fields(cls)}
-        if set(d) != set(declared):
-            raise ValueError(f"config keys: unknown {sorted(set(d) - set(declared))}, "
-                             f"missing {sorted(set(declared) - set(d))}")
+        want = cls(5).to_dict()                    # the keys and types it writes
+        if set(d) != set(want):
+            raise ValueError(f"config keys: unknown {sorted(set(d) - set(want))}, "
+                             f"missing {sorted(set(want) - set(d))}")
         for name, value in d.items():
-            want = bool if declared[name] in (bool, "bool") else int
-            if type(value) is not want:
-                raise ValueError(f"config {name}={value!r} is not {want.__name__}")
-        return cls(**d)
+            if type(value) is not type(want[name]):
+                raise ValueError(f"config {name}={value!r} is not {type(want[name]).__name__}")
+        config = cls(d["src_vocab_size"], **{f.name: d[f.name] for f in fields(cls)[1:]})
+        if config.to_dict() != d:
+            raise ValueError("config must have equal vocabulary sizes and both layout flags "
+                             "true, the one layout this model has")
+        return config
 
 
-def desk_config(src_vocab_size: int, tgt_vocab_size: int | None = None, **kw) -> ModelConfig:
+def desk_config(vocab_size: int, **kw) -> ModelConfig:
     """Default small configuration used throughout tests and demos."""
-    if tgt_vocab_size is None:
-        tgt_vocab_size = src_vocab_size
-    return ModelConfig(src_vocab_size=src_vocab_size, tgt_vocab_size=tgt_vocab_size, **kw)
+    return ModelConfig(vocab_size=vocab_size, **kw)
 
 
 @dataclass
 class Parameters:
     """Named tensors plus the config that shaped them.
 
-    Weight tying is structural: with a joint vocabulary there is a single
-    "embed" tensor used by both embeddings, and with tied decoder
-    embeddings the output projection reuses the target embedding, so no
-    separate tensor exists that could drift apart under optimization.
+    Weight tying is structural: one vocabulary serves both sides, and one
+    tensor, ``EMBED``, is the source embedding, the target embedding and
+    the output projection, so no separate copy exists that could drift
+    apart under optimization.
 
     Construction copies ``tensors`` (in their order, as float64) into one
     contiguous float64 ``vector`` that starts on a 64-byte boundary
@@ -189,18 +198,6 @@ class Parameters:
     def n_params(self) -> int:
         return sum(int(t.size) for t in self.tensors.values())
 
-    @property
-    def src_embed_name(self) -> str:
-        return "embed" if self.config.joint_vocabulary else "src_embed"
-
-    @property
-    def tgt_embed_name(self) -> str:
-        return "embed" if self.config.joint_vocabulary else "tgt_embed"
-
-    @property
-    def out_proj_name(self) -> str:
-        return self.tgt_embed_name if self.config.tie_decoder_embeddings else "out_proj"
-
 
 def aligned_zeros(shape: tuple[int, ...]) -> np.ndarray:
     """float64 zeros whose first element starts a 64-byte cache line.
@@ -227,13 +224,7 @@ def _glorot(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
 def parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     """Name and shape of every tensor ``config`` implies, in creation order."""
     d, f = config.d_model, config.d_ffn
-    shapes: dict[str, tuple[int, ...]] = {}
-
-    if config.joint_vocabulary:
-        shapes["embed"] = (config.src_vocab_size, d)
-    else:
-        shapes["src_embed"] = (config.src_vocab_size, d)
-        shapes["tgt_embed"] = (config.tgt_vocab_size, d)
+    shapes: dict[str, tuple[int, ...]] = {EMBED: (config.vocab_size, d)}
 
     def add_ln(prefix: str) -> None:
         shapes[prefix + ".g"] = (d,)
@@ -265,9 +256,6 @@ def parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
         add_ln(f"dec.{l}.ln3")
         add_ffn(f"dec.{l}.ffn")
     add_ln("dec.final_ln")
-
-    if not config.tie_decoder_embeddings:
-        shapes["out_proj"] = (config.tgt_vocab_size, d)
     return shapes
 
 
@@ -688,9 +676,9 @@ def _id_batch(ids, vocab_size: int, kind: str) -> np.ndarray:
 def encoder_forward(params: Parameters, x_model: np.ndarray):
     """Causal encoder over (B, n) marker-included sources (`check_ids`).
     Returns ((B, n, d) memory, cache)."""
-    x_model = _id_batch(x_model, params.config.src_vocab_size, "source")
+    x_model = _id_batch(x_model, params.config.vocab_size, "source")
     n = x_model.shape[-1]
-    h = _embed(params, params.src_embed_name, x_model, 0)
+    h = _embed(params, EMBED, x_model, 0)
     mask = causal_mask(n, n)
     layer_caches = []
     for l in range(params.config.n_enc_layers):
@@ -724,7 +712,7 @@ def encoder_backward(params: Parameters, cache, dmem: np.ndarray, grads: Paramet
         g[f"enc.{l}.ln1.g"] += dg
         g[f"enc.{l}.ln1.b"] += db
         dh += da_in
-    _embed_backward(params, params.src_embed_name, x_model, dh, grads)
+    _embed_backward(params, EMBED, x_model, dh, grads)
 
 
 def _cross_kv_rows(params: Parameters, mem: np.ndarray, rows: np.ndarray | None = None):
@@ -762,9 +750,9 @@ def decoder_forward(params: Parameters, mem: np.ndarray, y_in: np.ndarray,
     used them, its cache is ``(rows,)`` alone, and ``decoder_backward``
     refuses it.
     """
-    y_in = _id_batch(y_in, params.config.tgt_vocab_size, "target")
+    y_in = _id_batch(y_in, params.config.vocab_size, "target")
     m = y_in.shape[-1]
-    h = _embed(params, params.tgt_embed_name, y_in, 0)
+    h = _embed(params, EMBED, y_in, 0)
     self_mask = causal_mask(m, m)
     cross_mask = visibility_mask(visible_model, mem.shape[-2])
     cross_kv = _cross_kv_rows(params, mem, rows)
@@ -784,7 +772,7 @@ def decoder_forward(params: Parameters, mem: np.ndarray, y_in: np.ndarray,
         if rows is None:
             layer_caches.append((ln1c, selfc, ln2c, crossc, ln3c, ffnc))
     hf, lnfc = layer_norm(h, params.tensors["dec.final_ln.g"], params.tensors["dec.final_ln.b"])
-    e_out = params.tensors[params.out_proj_name]
+    e_out = params.tensors[EMBED]
     logits = hf @ e_out.T
     logp = log_softmax(logits)
     if rows is not None:
@@ -805,8 +793,8 @@ def decoder_backward(params: Parameters, cache, dlogp: np.ndarray, grads: Parame
     dlogits = np.exp(logp)                  # dlogp - exp(logp) * sum(dlogp), in place
     dlogits *= np.add.reduce(dlogp, axis=-1, keepdims=True)
     np.subtract(dlogp, dlogits, out=dlogits)
-    e_out = params.tensors[params.out_proj_name]
-    g[params.out_proj_name] += _rows(dlogits).T @ _rows(hf)
+    e_out = params.tensors[EMBED]
+    g[EMBED] += _rows(dlogits).T @ _rows(hf)
     dhf = dlogits @ e_out
     dh, dg, db = layer_norm_backward(dhf, lnfc)
     g["dec.final_ln.g"] += dg
@@ -835,7 +823,7 @@ def decoder_backward(params: Parameters, cache, dlogp: np.ndarray, grads: Parame
     dkv = np.concatenate(cross_dkv, axis=1)
     grads.blocks["dec.cross_attn.wkv"] += _rows(mem).T @ dkv
     grads.blocks["dec.cross_attn.bkv"] += np.add.reduce(dkv, axis=0)
-    _embed_backward(params, params.tgt_embed_name, y_in, dh, grads)
+    _embed_backward(params, EMBED, y_in, dh, grads)
     return dmem
 
 
@@ -992,7 +980,7 @@ def encode_prefix(params: Parameters, new_tokens: Sequence[int],
     cfg = params.config
     t, blocks = params.tensors, params.blocks
     n_heads, dh, d = cfg.n_heads, cfg.head_dim, cfg.d_model
-    new_ids = check_ids(new_tokens, cfg.src_vocab_size, "source")
+    new_ids = check_ids(new_tokens, cfg.vocab_size, "source")
     if new_ids.ndim != 1 or len(new_ids) == 0:
         raise ValueError("need at least one new token")
     if state is None:
@@ -1005,9 +993,9 @@ def encode_prefix(params: Parameters, new_tokens: Sequence[int],
     enc_kv, memory, cross_kv = rows.arrays
     # one new row may see every key: its causal mask is all zeros
     if m == 1:
-        h, mask = _embed(params, params.src_embed_name, new_ids[0], z0), None
+        h, mask = _embed(params, EMBED, new_ids[0], z0), None
     else:
-        h, mask = _embed(params, params.src_embed_name, new_ids, z0), causal_mask(m, m)
+        h, mask = _embed(params, EMBED, new_ids, z0), causal_mask(m, m)
     layers = zip(_layer_keys("enc", cfg.n_enc_layers, _ENC_LAYER),
                  _layer_keys("enc", cfg.n_enc_layers, _ENC_QKV))
     for l, (keys, (wqkv, bqkv)) in enumerate(layers):
@@ -1056,7 +1044,8 @@ def decode_step(params: Parameters, enc_state: EncoderState,
 
     ``visible`` counts encoder rows (marker included when exposed) and
     must be in [1, enc_state.n_tokens]; ``prev_token`` must be a target
-    id, in [0, tgt_vocab_size).  Either check raises ValueError before
+    id, an int or numpy integer (not a bool, as `check_ids` says) in
+    [0, vocab_size).  Either check raises ValueError before
     any buffer is written.  The cached cross-attention keys and values
     are sliced to that prefix before any computation, so the result is
     bitwise identical no matter what lies beyond.  Returns (logprobs (V,),
@@ -1067,13 +1056,14 @@ def decode_step(params: Parameters, enc_state: EncoderState,
     n_heads, dh, d = cfg.n_heads, cfg.head_dim, cfg.d_model
     if not 1 <= visible <= enc_state.n_tokens:
         raise ValueError(f"visible={visible} outside [1, {enc_state.n_tokens}]")
-    if not 0 <= prev_token < cfg.tgt_vocab_size:
-        raise ValueError(f"target id {prev_token} outside [0, {cfg.tgt_vocab_size})")
+    if (not isinstance(prev_token, (int, np.integer)) or isinstance(prev_token, bool)
+            or not 0 <= prev_token < cfg.vocab_size):
+        raise ValueError(f"target id {prev_token} outside the integers [0, {cfg.vocab_size})")
     if dec_state is None:
         dec_state = empty_decoder_state(params)
     step = dec_state.step
 
-    h = _embed(params, params.tgt_embed_name, prev_token, step)
+    h = _embed(params, EMBED, prev_token, step)
     rows = _writable_rows(dec_state.rows, step, 1)
     self_kv = rows.arrays[0][:, :, :, : step + 1]
     cross_kv = enc_state.rows.arrays[2][:, :, :, :visible]
@@ -1092,7 +1082,7 @@ def decode_step(params: Parameters, enc_state: EncoderState,
         h += _attend_precomputed(q, cwo, cbo, cross_kv[l, 0], cross_kv[l, 1])
         h += _ffn_out(_norm(h, g3, b3), w1, fb1, w2, fb2)
     hf = _norm(h, t["dec.final_ln.g"], t["dec.final_ln.b"])
-    logp = log_softmax(np.dot(hf, t[params.out_proj_name].T))
+    logp = log_softmax(np.dot(hf, t[EMBED].T))
     rows.filled = step + 1
     return logp, DecoderState(rows, step + 1)
 

@@ -8,7 +8,6 @@ applied to hypotheses and references so the comparison stays fair.
 from __future__ import annotations
 
 import logging
-from typing import Mapping
 
 logger = logging.getLogger(__name__)
 
@@ -42,11 +41,9 @@ def number_to_words(n: int) -> str:
     return out + (" " + number_to_words(rest) if rest else "")
 
 
-def build_number_lexicon(limit: int = NUMBER_LEXICON_LIMIT) -> dict[str, str]:
-    """Map decimal strings "0".."<limit-1>" to their word forms."""
-    if not 1 <= limit <= NUMBER_LEXICON_LIMIT:
-        raise ValueError(f"limit must be in [1, {NUMBER_LEXICON_LIMIT}]")
-    return {str(n): number_to_words(n) for n in range(limit)}
+def build_number_lexicon() -> dict[str, str]:
+    """Map decimal strings "0".."9999" to their word forms."""
+    return {str(n): number_to_words(n) for n in range(NUMBER_LEXICON_LIMIT)}
 
 
 _DEFAULT_LEXICON: dict[str, str] | None = None
@@ -59,17 +56,17 @@ def default_number_lexicon() -> dict[str, str]:
     return _DEFAULT_LEXICON
 
 
-def asr_normalize(text: str, number_lexicon: Mapping[str, str] | None = None) -> str:
+def asr_normalize(text: str) -> str:
     """Lowercase, strip punctuation, spell out digit-only tokens.
 
     Characters that are neither alphanumeric nor whitespace are deleted
     (so "3,000" becomes the token "3000" before lookup).  Whitespace is
     collapsed to single spaces.  A digit-only token not covered by the
-    lexicon is kept verbatim and a warning is logged.  The function is
-    idempotent: normalizing its own output is a no-op.
+    lexicon (`default_number_lexicon`) is kept verbatim and a warning is
+    logged.  The function is idempotent: normalizing its own output is a
+    no-op.
     """
-    if number_lexicon is None:
-        number_lexicon = default_number_lexicon()
+    number_lexicon = default_number_lexicon()
     kept = [c for c in text.lower() if c.isalnum() or c.isspace()]
     out: list[str] = []
     for tok in "".join(kept).split():

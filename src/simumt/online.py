@@ -160,7 +160,7 @@ class ModelSession:
             raise RuntimeError("source told after ids were fed; use a new session")
         if encoded is None and ids == self._known:
             return
-        M.check_ids(ids, self.params.config.src_vocab_size, "source")
+        M.check_ids(ids, self.params.config.vocab_size, "source")
         if encoded is not None and encoded.n_tokens != len(ids):
             raise ValueError(f"encoded state holds {encoded.n_tokens} rows, "
                              f"source has {len(ids)} ids")

@@ -398,6 +398,10 @@ def adam_update(params: M.Parameters, grads, state: OptimizerState):
     return params, state
 
 
+# the central-difference step of `grad_check`
+GRAD_CHECK_STEP = 1e-5
+
+
 @dataclass(frozen=True)
 class GradCheckReport:
     max_rel_err: float
@@ -411,24 +415,23 @@ class GradCheckReport:
 
 
 def grad_check(params: M.Parameters, loss_fn, n_probes: int, tol: float,
-               h: float = 1e-5, seed: int = 0) -> GradCheckReport:
+               seed: int = 0) -> GradCheckReport:
     """Compare analytic gradients against central finite differences.
 
     ``loss_fn(params) -> (loss, grads)``, with grads laid out like
     ``params`` (`model.zero_grads`), else ValueError.  Probes
     ``n_probes`` coordinates sampled without replacement across all
-    tensors.  Relative error is |a - n| / max(|a|, |n|), taken as 0 when
-    both magnitudes are below h^2 (the difference is then below
-    finite-difference noise).  ``tol`` and ``h`` must be positive and
-    finite, else ValueError.
+    tensors, each stepped by ``GRAD_CHECK_STEP`` either way.  Relative
+    error is |a - n| / max(|a|, |n|), taken as 0 when both magnitudes are
+    below the step squared (the difference is then below finite-difference
+    noise).  ``tol`` must be positive and finite, else ValueError.
     """
     if n_probes < 1:
         raise ValueError("n_probes must be >= 1")
     # written so that NaN fails too
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
-    if not 0.0 < h < math.inf:
-        raise ValueError(f"h must be positive and finite, got {h!r}")
+    h = GRAD_CHECK_STEP
     _, grads = loss_fn(params)
     _check_layout(params, grads)
     sizes = [(name, int(t.size)) for name, t in params.tensors.items()]

@@ -32,7 +32,7 @@ INF = math.inf
 
 def tiny_config(rng, vocab=14):
     return M.ModelConfig(
-        src_vocab_size=vocab, tgt_vocab_size=vocab,
+        vocab_size=vocab,
         d_model=int(rng.choice([16, 32])), n_heads=int(rng.choice([2, 4])),
         n_enc_layers=int(rng.integers(1, 3)), n_dec_layers=int(rng.integers(1, 3)),
         d_ffn=int(rng.choice([24, 48])))
@@ -139,7 +139,7 @@ def test_criterion_03_incremental_equivalence():
 
 def test_criterion_04_gradient_check():
     t0 = time.monotonic()
-    cfg = M.ModelConfig(src_vocab_size=18, tgt_vocab_size=18, d_model=32,
+    cfg = M.ModelConfig(vocab_size=18, d_model=32,
                         n_heads=4, n_enc_layers=2, n_dec_layers=2, d_ffn=48)
     params = M.init_parameters(cfg, seed=0)
     rng = np.random.default_rng(0)
@@ -178,7 +178,7 @@ def test_criterion_04_gradient_check():
 def test_criterion_05_multi_path_consistency():
     t0 = time.monotonic()
     rng = np.random.default_rng(3)
-    cfg = M.ModelConfig(src_vocab_size=14, tgt_vocab_size=14, d_model=16,
+    cfg = M.ModelConfig(vocab_size=14, d_model=16,
                         n_heads=2, n_enc_layers=1, n_dec_layers=1, d_ffn=24)
     params = M.init_parameters(cfg, seed=0)
     for n in range(1, 9):
@@ -778,7 +778,7 @@ def test_criterion_11_bleu_oracle():
 def test_criterion_12_service_offline_equality():
     vocab = Vocabulary.build([f"t{i}" for i in range(10)])
     params = M.init_parameters(M.ModelConfig(
-        src_vocab_size=len(vocab), tgt_vocab_size=len(vocab), d_model=16,
+        vocab_size=len(vocab), d_model=16,
         n_heads=2, n_enc_layers=1, n_dec_layers=1, d_ffn=24), seed=12)
     rng = np.random.default_rng(7)
     sources_ids = [[int(v) for v in rng.integers(4, len(vocab),
@@ -826,7 +826,7 @@ def test_criterion_12_service_offline_equality():
 
 def test_criterion_13_ensemble_identity():
     params = M.init_parameters(M.ModelConfig(
-        src_vocab_size=14, tgt_vocab_size=14, d_model=16, n_heads=2,
+        vocab_size=14, d_model=16, n_heads=2,
         n_enc_layers=1, n_dec_layers=1, d_ffn=24), seed=13)
     rng = np.random.default_rng(4)
     sources = [[int(v) for v in rng.integers(4, 14, size=rng.integers(2, 9))]

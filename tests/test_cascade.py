@@ -322,12 +322,17 @@ def test_cascade_target_prefix_persists_across_endpoints():
 
 @pytest.mark.parametrize("total_ms, block_ms", [
     (100.0, 0.0), (100.0, -100.0), (100.0, math.nan), (100.0, math.inf),
-    (-1.0, 100.0), (math.nan, 100.0), (math.inf, 100.0), (1e12, 100.0)])
+    (-1.0, 100.0), (math.nan, 100.0), (math.inf, 100.0), (1e12, 100.0),
+    (1000.0, 1e-6), (C.MAX_STREAM_MS, 10.0)])
 def test_audio_blocks_refuse_bad_sizes(total_ms, block_ms):
     # block_ms=0 divided by zero at the first READ; 1e12 ms stepped through
-    # 10^10 blocks
+    # 10^10 blocks, and 1e-6 ms blocks cut a second into 10^9
     with pytest.raises(ValueError):
         C.AudioBlocks(total_ms, block_ms)
+
+
+def test_audio_blocks_cap_fits_the_longest_stream():
+    assert C.AudioBlocks(C.MAX_STREAM_MS, 100.0).n_blocks == 864_000 <= C.MAX_BLOCKS
 
 
 def test_cascade_refuses_infinite_audio_before_any_read():
@@ -336,6 +341,15 @@ def test_cascade_refuses_infinite_audio_before_any_read():
     with pytest.raises(ValueError, match="total_ms"):
         C.cascade_decode([tw("hi", 0, 100)], word_per_token_mt([sess]), C.CascadeConfig(),
                          total_ms=math.inf)
+    assert sess.calls == []
+
+
+def test_cascade_refuses_too_many_blocks_before_any_read():
+    # a valid config whose blocks cut the stream into 10^8 READ events
+    sess = ScriptedSession([EOS])
+    with pytest.raises(ValueError, match="MAX_BLOCKS"):
+        C.cascade_decode([tw("hi", 0, 100)], word_per_token_mt([sess]),
+                         C.CascadeConfig(block_ms=1e-6))
     assert sess.calls == []
 
 

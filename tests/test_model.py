@@ -12,7 +12,7 @@ from simumt.vocab import BOS, EOS
 
 
 def small_params(seed=0, **kw):
-    cfg = M.ModelConfig(src_vocab_size=16, tgt_vocab_size=16, d_model=16,
+    cfg = M.ModelConfig(vocab_size=16, d_model=16,
                         n_heads=2, n_enc_layers=2, n_dec_layers=2, d_ffn=24, **kw)
     return M.init_parameters(cfg, seed=seed)
 
@@ -23,13 +23,11 @@ def rand_sentence(rng, n, v=16):
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        M.ModelConfig(src_vocab_size=16, tgt_vocab_size=16, d_model=10, n_heads=4)
+        M.ModelConfig(vocab_size=16, d_model=10, n_heads=4)
     with pytest.raises(ValueError):
-        M.ModelConfig(src_vocab_size=4, tgt_vocab_size=16)
+        M.ModelConfig(vocab_size=4)
     with pytest.raises(ValueError):
-        M.ModelConfig(src_vocab_size=8, tgt_vocab_size=16, joint_vocabulary=True)
-    with pytest.raises(ValueError):
-        M.ModelConfig(src_vocab_size=16, tgt_vocab_size=16, n_enc_layers=0)
+        M.ModelConfig(vocab_size=16, n_enc_layers=0)
 
 
 def test_init_deterministic_and_shaped():
@@ -62,15 +60,11 @@ def test_init_parameters_draws_are_pinned():
 
 
 def test_tying_is_structural():
-    tied = small_params()
-    assert tied.out_proj_name == "embed"
-    assert "out_proj" not in tied.tensors
-    untied = M.init_parameters(
-        M.ModelConfig(src_vocab_size=16, tgt_vocab_size=16, d_model=16,
-                      n_heads=2, tie_decoder_embeddings=False,
-                      joint_vocabulary=False), seed=0)
-    assert untied.out_proj_name == "out_proj"
-    assert {"src_embed", "tgt_embed", "out_proj"} <= set(untied.tensors)
+    # one tensor is the source embedding, the target embedding and the
+    # output projection: no other tensor has an axis the vocabulary's size
+    params = M.init_parameters(M.desk_config(13), seed=0)
+    assert [name for name, t in params.tensors.items() if 13 in t.shape] == ["embed"]
+    assert params.tensors["embed"].shape == (13, params.config.d_model)
 
 
 def test_sinusoid_rows():
@@ -500,7 +494,7 @@ def oracle_step(params, mem, history, prev, visible):
     (appended to in place).  Keys and values come from `separate_kv`, so
     the oracle shares no product with the fused blocks."""
     t = params.tensors
-    h = M._embed(params, params.tgt_embed_name, np.array([[prev]]), len(history[0]))
+    h = M._embed(params, "embed", np.array([[prev]]), len(history[0]))
     for l, rows in enumerate(history):
         a_in, _ = M.layer_norm(h, t[f"dec.{l}.ln1.g"], t[f"dec.{l}.ln1.b"])
         rows.append(a_in)
@@ -516,7 +510,7 @@ def oracle_step(params, mem, history, prev, visible):
         f_out, _ = M.ffn(params, f"dec.{l}.ffn", f_in)
         h = h + f_out
     hf, _ = M.layer_norm(h, t["dec.final_ln.g"], t["dec.final_ln.b"])
-    return M.log_softmax(hf @ t[params.out_proj_name].T)[0, 0]
+    return M.log_softmax(hf @ t["embed"].T)[0, 0]
 
 
 def test_cached_decode_matches_uncached_oracle_over_long_sources():
@@ -666,8 +660,7 @@ def test_streaming_refuses_ids_outside_the_vocabulary():
     # a negative id would index from the end of the embedding, an id of
     # vocab size past it, and a fraction would be truncated (4.5 read as 4);
     # both functions refuse them before writing a row
-    params = M.init_parameters(M.ModelConfig(src_vocab_size=12, tgt_vocab_size=16, d_model=16,
-                                             n_heads=2, joint_vocabulary=False), seed=0)
+    params = M.init_parameters(M.ModelConfig(vocab_size=12, d_model=16, n_heads=2), seed=0)
     enc = M.encode_prefix(params, [4, 5, 6])
     _, dec = M.decode_step(params, enc, None, BOS, 2)
     before = [a.copy() for a in enc.rows.arrays + dec.rows.arrays]
@@ -676,7 +669,8 @@ def test_streaming_refuses_ids_outside_the_vocabulary():
             M.encode_prefix(params, ids, enc)
         with pytest.raises(ValueError, match="outside|integers"):
             M.encode_prefix(params, ids)
-    for tok in (-1, 16, 99):
+    # 4.5 and 4.0 raised IndexError, and True a reshape error, past the check
+    for tok in (-1, 12, 99, 4.5, 4.0, np.float64(4.0), True):
         for state in (None, dec):
             with pytest.raises(ValueError, match="outside"):
                 M.decode_step(params, enc, state, tok, 2)
@@ -685,7 +679,8 @@ def test_streaming_refuses_ids_outside_the_vocabulary():
     assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(after, before, strict=True))
     assert enc.rows.filled == 3 and dec.rows.filled == 1
     M.encode_prefix(params, [0, 11], enc)               # the bounds themselves are ids
-    M.decode_step(params, enc, dec, 15, 3)
+    M.decode_step(params, enc, dec, 11, 3)
+    M.decode_step(params, enc, dec, np.int64(11), 3)
 
 
 # ---------------------------------------------------------------------------
@@ -740,9 +735,9 @@ def ref_encode_prefix(params, new_tokens, state=None):
     rows = M._writable_rows(state.rows, z0, len(new_ids))
     enc_kv, memory, cross_kv = rows.arrays
     if len(new_ids) == 1:
-        h, mask = ref_embed(params, params.src_embed_name, new_ids[0], z0), None
+        h, mask = ref_embed(params, "embed", new_ids[0], z0), None
     else:
-        h = ref_embed(params, params.src_embed_name, new_ids, z0)
+        h = ref_embed(params, "embed", new_ids, z0)
         mask = M.causal_mask(len(new_ids), z, offset=z0)
     for l in range(cfg.n_enc_layers):
         p = f"enc.{l}."
@@ -768,7 +763,7 @@ def ref_decode_step(params, enc_state, dec_state, prev_token, visible):
     if dec_state is None:
         dec_state = M.empty_decoder_state(params)
     step = dec_state.step
-    h = ref_embed(params, params.tgt_embed_name, prev_token, step)
+    h = ref_embed(params, "embed", prev_token, step)
     rows = M._writable_rows(dec_state.rows, step, 1)
     self_kv = rows.arrays[0][:, :, :, : step + 1]
     cross_kv = enc_state.rows.arrays[2][:, :, :, :visible]
@@ -785,7 +780,7 @@ def ref_decode_step(params, enc_state, dec_state, prev_token, visible):
                            cross_kv[l, 0], cross_kv[l, 1])
         f_in = ref_norm(h, t[p + "ln3.g"], t[p + "ln3.b"])
         h = h + ref_ffn(f_in, *(t[p + "ffn." + w] for w in ("w1", "b1", "w2", "b2")))
-    logits = ref_norm(h, t["dec.final_ln.g"], t["dec.final_ln.b"]) @ t[params.out_proj_name].T
+    logits = ref_norm(h, t["dec.final_ln.g"], t["dec.final_ln.b"]) @ t["embed"].T
     mx = np.maximum.reduce(logits, axis=-1, keepdims=True)
     logp = logits - (np.log(np.add.reduce(np.exp(logits - mx), axis=-1, keepdims=True)) + mx)
     rows.filled = step + 1
@@ -798,18 +793,14 @@ def _rows_equal(got, want, n):
                for a, b in zip(got.rows.arrays, want.rows.arrays, strict=True))
 
 
-@pytest.mark.parametrize("n_heads,joint,tied", [(1, True, True), (4, True, False),
-                                                (4, False, True), (1, False, False),
-                                                (4, True, True)])
-def test_streaming_kernels_equal_the_reference_bit_for_bit(n_heads, joint, tied):
-    rng = np.random.default_rng(100 + 10 * n_heads + 2 * joint + tied)
-    v_src = int(rng.integers(5, 24))
-    v_tgt = v_src if joint else int(rng.integers(5, 24))
-    cfg = M.ModelConfig(src_vocab_size=v_src, tgt_vocab_size=v_tgt,
+@pytest.mark.parametrize("n_heads,seed", [(1, 113), (4, 142), (4, 141), (1, 110), (4, 143)])
+def test_streaming_kernels_equal_the_reference_bit_for_bit(n_heads, seed):
+    rng = np.random.default_rng(seed)
+    v = int(rng.integers(5, 24))
+    cfg = M.ModelConfig(vocab_size=v,
                         d_model=n_heads * int(rng.choice([2, 4, 8, 16])), n_heads=n_heads,
                         n_enc_layers=int(rng.integers(1, 3)), n_dec_layers=int(rng.integers(1, 3)),
-                        d_ffn=int(rng.integers(3, 40)), joint_vocabulary=joint,
-                        tie_decoder_embeddings=tied)
+                        d_ffn=int(rng.integers(3, 40)))
     params = M.init_parameters(cfg, seed=int(rng.integers(1000)))
     params.vector += 0.3 * rng.normal(size=params.vector.shape)  # biases, gains off 0 and 1
 
@@ -819,7 +810,7 @@ def test_streaming_kernels_equal_the_reference_bit_for_bit(n_heads, joint, tied)
         chain = [dec_pair]
         for i in range(n_steps):
             (enc, ref), (dec, rdec) = pair, chain[-1]
-            prev, visible = int(rng.integers(0, v_tgt)), visible_of(i)
+            prev, visible = int(rng.integers(0, v)), visible_of(i)
             lp, dec = M.decode_step(params, enc, dec, prev, visible)
             want, rdec = ref_decode_step(params, ref, rdec, prev, visible)
             assert np.array_equal(lp, want) and dec.step == rdec.step
@@ -829,7 +820,7 @@ def test_streaming_kernels_equal_the_reference_bit_for_bit(n_heads, joint, tied)
 
     for _ in range(3):
         n = int(rng.integers(2, 70))                  # past several capacity doublings
-        x = rng.integers(0, v_src, size=n)
+        x = rng.integers(0, v, size=n)
         encs, i = [(None, None)], 0
         while i < n:
             j = min(n, i + int(rng.choice([1, 1, 1, 2, 3, 5, 9, 17])))
@@ -842,7 +833,7 @@ def test_streaming_kernels_equal_the_reference_bit_for_bit(n_heads, joint, tied)
         # extend older states by one token and by a block
         for m in (1, int(rng.integers(2, 12))) if len(encs) > 2 else ():
             at = int(rng.integers(1, len(encs) - 1))
-            (old, old_ref), tail = encs[at], rng.integers(0, v_src, size=m)
+            (old, old_ref), tail = encs[at], rng.integers(0, v, size=m)
             enc, ref = M.encode_prefix(params, tail, old), ref_encode_prefix(params, tail, old_ref)
             assert _rows_equal(enc, ref, old.n_tokens + m)
         # every visible in 1..n, the decoder buffers past their doublings,
@@ -988,7 +979,7 @@ def _backward_pair(params, rng, backward, ref_backward, dout, cache, ref_cache):
 
 @pytest.mark.parametrize("n_heads,d_model", [(1, 32), (4, 32), (1, 64), (4, 64)])
 def test_training_primitives_equal_the_reference_bit_for_bit(n_heads, d_model):
-    cfg = M.ModelConfig(src_vocab_size=16, tgt_vocab_size=16, d_model=d_model,
+    cfg = M.ModelConfig(vocab_size=16, d_model=d_model,
                         n_heads=n_heads, n_enc_layers=1, n_dec_layers=2, d_ffn=2 * d_model)
     rng = np.random.default_rng(n_heads * 1000 + d_model)
     params = M.init_parameters(cfg, seed=n_heads + d_model)
@@ -1120,6 +1111,9 @@ def _write_checkpoint(path, manifest, payload=b""):
     lambda c: None,
     lambda c: {**c, "d_model": "16"},                                  # wrong types
     lambda c: {**c, "joint_vocabulary": 1},
+    lambda c: {**c, "joint_vocabulary": False},                        # older layouts
+    lambda c: {**c, "tie_decoder_embeddings": False},
+    lambda c: {**c, "tgt_vocab_size": c["tgt_vocab_size"] + 1},
 ])
 def test_checkpoint_rejects_bad_config(tmp_path, edit):
     p = tmp_path / "m.ckpt"

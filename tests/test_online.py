@@ -11,7 +11,7 @@ from simumt.vocab import BOS, EOS
 
 
 def small_params(seed=0, vocab=16):
-    cfg = M.ModelConfig(src_vocab_size=vocab, tgt_vocab_size=vocab, d_model=16,
+    cfg = M.ModelConfig(vocab_size=vocab, d_model=16,
                         n_heads=2, n_enc_layers=1, n_dec_layers=1, d_ffn=24)
     return M.init_parameters(cfg, seed=seed)
 

@@ -24,7 +24,7 @@ from simumt.vocab import EOS, EOS_TOKEN, Vocabulary
 
 
 def small_params(seed=0, vocab=16):
-    cfg = M.ModelConfig(src_vocab_size=vocab, tgt_vocab_size=vocab, d_model=16,
+    cfg = M.ModelConfig(vocab_size=vocab, d_model=16,
                         n_heads=2, n_enc_layers=1, n_dec_layers=1, d_ffn=24)
     return M.init_parameters(cfg, seed=seed)
 
@@ -115,10 +115,11 @@ def test_testset_rejects_an_empty_source_or_stream():
         S.ServerTestset(mode="s2t", sources=[[]], references=["x"], detokenize=detok)
 
 
-@pytest.mark.parametrize("block_ms", [0.0, math.nan, -100.0])
+@pytest.mark.parametrize("block_ms", [0.0, math.nan, -100.0, 1e-6])
 def test_s2t_testset_refuses_a_bad_block_size(block_ms):
     # 0 and NaN failed at the first READ on the handler thread, and the
-    # client saw only a closed socket; -100 was served as it stood
+    # client saw only a closed socket; -100 was served as it stood, and
+    # 1e-6 as 10^8 blocks
     with pytest.raises(ValueError, match="block_ms"):
         S.ServerTestset(mode="s2t", sources=[[TimedWord("a", 0, 100)]], references=["x"],
                         detokenize=detok, block_ms=block_ms)
