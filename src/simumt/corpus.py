@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .runconfig import parse_json
 from .vocab import EOS, PAD, Vocabulary
 
 TOY_TASKS = ("copy", "local_swap", "digit_to_word")
@@ -68,9 +69,9 @@ def load_parallel_text(path) -> list[tuple[str, str]]:
                 continue
             if line.startswith("{"):
                 try:
-                    obj = json.loads(line)
+                    obj = parse_json(line)
                     pair = (obj["src"], obj["tgt"])
-                except (json.JSONDecodeError, KeyError, TypeError) as e:
+                except (ValueError, KeyError, TypeError) as e:
                     raise ValueError(f"{path}:{ln}: bad JSON corpus line") from e
                 if not all(isinstance(side, str) for side in pair):
                     raise ValueError(f"{path}:{ln}: src and tgt must be strings")

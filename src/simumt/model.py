@@ -47,31 +47,39 @@ never change what their inputs hold.  The caches are head-major
 in place when the newest state is extended (see `EncoderState`), so an
 extension no longer copies the history it attends over.  A call that
 handles one row (every ``decode_step``, and ``encode_prefix`` with one new
-token) carries it as a (d,) vector, so its products are vector-matrix and
-its layer norms take scalar statistics; outputs are bitwise those of the
-(1, d) form.  The two streaming functions spend most of their time
-dispatching numpy calls on small rows, so they update in place (biases,
-residuals, ReLU, the layer-norm scale and shift) and multiply with
-``np.dot``, which OpenBLAS computes bit for bit like ``@`` on their
-contiguous weights; every row equals the out-of-place form's, bit for
-bit.  Every pass, teacher-forced or streaming, projects through
-the storage blocks (`storage_groups`): each self-attention projects q, k
+token) carries it as a (d,) vector through helpers of its own
+(`_row_norm`, `_row_attend`, `_row_log_softmax`), with no shape branch:
+its products are vector-matrix, its layer norms and log-softmax take
+scalar statistics, and its outputs are bitwise those of the (1, d) form.
+The two streaming functions spend most of their time dispatching numpy
+calls on small rows, so they look up no tensor by name: each reads the
+tuples `Parameters.encoder_views` or ``decoder_views`` binds once per
+Parameters.  Those hold views into the flat vector only, never derived
+arrays (a pre-scaled embedding, say), so an in-place edit of the vector
+(``adam_update``'s, ``grad_check``'s) shows in the next step.  They also
+update in place (biases, residuals, ReLU, the layer-norm scale and shift)
+and multiply with ``np.dot``, which OpenBLAS computes bit for bit like
+``@`` on their contiguous weights; every row equals the out-of-place
+form's, bit for bit.  Every pass, teacher-forced or streaming, projects
+through the storage blocks (`storage_groups`): each self-attention projects q, k
 and v with one product by its (d, 3d) block, and memory rows go into
 every decoder layer's cross-attention keys and values with one product.
 On OpenBLAS the column blocks of such a product equal the separate
-products bit for bit, so the fusion leaves every output unchanged.  All
-passes share one attention core, `_attend`.
+products bit for bit, so the fusion leaves every output unchanged.  The
+teacher-forced passes and a streaming block share one attention core,
+`_attend`; `_row_attend` runs its operations inline for the (d,) row.
 """
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields
-from functools import lru_cache
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
+from .runconfig import parse_json
 from .vocab import EOS, PAD
 
 NEG_INF = -np.inf
@@ -161,10 +169,11 @@ class Parameters:
     every pass multiplies together sit side by side in ``blocks``
     (see `storage_groups`), each block one contiguous region, and every
     other tensor is a contiguous region of its own.  ``tensors`` (each
-    checkpoint name) and ``blocks`` are views into ``vector``, so an
-    in-place edit of the vector (``adam_update``'s) shows in both; rebinding
-    a name to a new array would not.  A group whose names are not all
-    present gets no block.  Gradients (`zero_grads`) share the layout.
+    checkpoint name) and ``blocks`` are views into ``vector``, and so are
+    the streaming passes' ``encoder_views`` and ``decoder_views``, so an
+    in-place edit of the vector (``adam_update``'s) shows in all of them;
+    rebinding a name to a new array would not.  A group whose names are not
+    all present gets no block.  Gradients (`zero_grads`) share the layout.
     """
 
     config: ModelConfig
@@ -197,6 +206,32 @@ class Parameters:
 
     def n_params(self) -> int:
         return sum(int(t.size) for t in self.tensors.values())
+
+    # What the streaming passes read, bound on first use so that a step
+    # looks up no tensor by name and a Parameters of a partial tensor set
+    # still constructs.  Views into ``vector`` only, never derived arrays
+    # (a pre-scaled embedding, say): the next step must see in-place edits.
+
+    @cached_property
+    def encoder_views(self) -> tuple:
+        """`encode_prefix`'s (layers, final g, final b, cross k|v weight
+        block, its bias block); each layer the `_ENC_LAYER` tensors."""
+        t, b = self.tensors, self.blocks
+        return (self._layer_views("enc", self.config.n_enc_layers, _ENC_LAYER),
+                t["enc.final_ln.g"], t["enc.final_ln.b"],
+                b["dec.cross_attn.wkv"], b["dec.cross_attn.bkv"])
+
+    @cached_property
+    def decoder_views(self) -> tuple:
+        """`decode_step`'s (layers, final g, final b, embedding); each layer
+        the `_DEC_LAYER` tensors."""
+        t = self.tensors
+        return (self._layer_views("dec", self.config.n_dec_layers, _DEC_LAYER),
+                t["dec.final_ln.g"], t["dec.final_ln.b"], t[EMBED])
+
+    def _layer_views(self, stack: str, n_layers: int, parts: tuple[str, ...]) -> tuple:
+        views = {**self.tensors, **self.blocks}
+        return tuple(tuple(views[f"{stack}.{l}.{p}"] for p in parts) for l in range(n_layers))
 
 
 def aligned_zeros(shape: tuple[int, ...]) -> np.ndarray:
@@ -355,16 +390,11 @@ def _standardize(x: np.ndarray):
     """(x - mean) / sqrt(var + eps) over the last axis, and that 1 / sqrt,
     in one fresh array.  The mean is computed once and the centred rows
     reused, with the same reductions ``x.mean``/``x.var`` perform, so
-    results are bitwise those of the two-call form.  A (d,) row (the
-    streaming step's) takes scalar statistics, with ``math.sqrt`` on its
-    variance; its output is bitwise that of the (1, d) call."""
+    results are bitwise those of the two-call form.  The streaming (d,)
+    row has its own form, `_row_norm`."""
     n = x.shape[-1]
-    if x.ndim == 1:
-        xhat = x - np.add.reduce(x) / n
-        inv = 1.0 / math.sqrt(np.add.reduce(xhat * xhat) / n + _LN_EPS)
-    else:
-        xhat = x - np.add.reduce(x, axis=-1, keepdims=True) / n
-        inv = 1.0 / np.sqrt(np.add.reduce(xhat * xhat, axis=-1, keepdims=True) / n + _LN_EPS)
+    xhat = x - np.add.reduce(x, axis=-1, keepdims=True) / n
+    inv = 1.0 / np.sqrt(np.add.reduce(xhat * xhat, axis=-1, keepdims=True) / n + _LN_EPS)
     xhat *= inv
     return xhat, inv
 
@@ -578,24 +608,24 @@ def _position_rows(start: int, n: int, d: int) -> np.ndarray:
     return table[start : start + n]
 
 
-def _embed(params: Parameters, name: str, ids, start_pos: int) -> np.ndarray:
+def _embed(params: Parameters, ids, start_pos: int) -> np.ndarray:
     """Scaled embeddings plus positions, position start_pos at column 0:
     a batch's (B, n) ids give (B, n, d) rows, a streaming block's (n,) ids
     (n, d) rows, and one int id a (d,) row, which takes its position in
     place."""
     d = params.config.d_model
     if isinstance(ids, (int, np.integer)):
-        h = params.tensors[name][ids] * math.sqrt(d)
+        h = params.tensors[EMBED][ids] * math.sqrt(d)
         h += _position_rows(start_pos, 1, d)[0]
         return h
     ids = np.asarray(ids)
     pos = _position_rows(start_pos, ids.shape[-1], d)
-    return params.tensors[name][ids] * math.sqrt(d) + pos
+    return params.tensors[EMBED][ids] * math.sqrt(d) + pos
 
 
-def _embed_backward(params: Parameters, name: str, ids: np.ndarray,
-                    dh: np.ndarray, grads: Parameters) -> None:
-    np.add.at(grads.tensors[name], ids, dh * math.sqrt(params.config.d_model))
+def _embed_backward(params: Parameters, ids: np.ndarray, dh: np.ndarray,
+                    grads: Parameters) -> None:
+    np.add.at(grads.tensors[EMBED], ids, dh * math.sqrt(params.config.d_model))
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -678,7 +708,7 @@ def encoder_forward(params: Parameters, x_model: np.ndarray):
     Returns ((B, n, d) memory, cache)."""
     x_model = _id_batch(x_model, params.config.vocab_size, "source")
     n = x_model.shape[-1]
-    h = _embed(params, EMBED, x_model, 0)
+    h = _embed(params, x_model, 0)
     mask = causal_mask(n, n)
     layer_caches = []
     for l in range(params.config.n_enc_layers):
@@ -712,7 +742,7 @@ def encoder_backward(params: Parameters, cache, dmem: np.ndarray, grads: Paramet
         g[f"enc.{l}.ln1.g"] += dg
         g[f"enc.{l}.ln1.b"] += db
         dh += da_in
-    _embed_backward(params, EMBED, x_model, dh, grads)
+    _embed_backward(params, x_model, dh, grads)
 
 
 def _cross_kv_rows(params: Parameters, mem: np.ndarray, rows: np.ndarray | None = None):
@@ -752,7 +782,7 @@ def decoder_forward(params: Parameters, mem: np.ndarray, y_in: np.ndarray,
     """
     y_in = _id_batch(y_in, params.config.vocab_size, "target")
     m = y_in.shape[-1]
-    h = _embed(params, EMBED, y_in, 0)
+    h = _embed(params, y_in, 0)
     self_mask = causal_mask(m, m)
     cross_mask = visibility_mask(visible_model, mem.shape[-2])
     cross_kv = _cross_kv_rows(params, mem, rows)
@@ -823,7 +853,7 @@ def decoder_backward(params: Parameters, cache, dlogp: np.ndarray, grads: Parame
     dkv = np.concatenate(cross_dkv, axis=1)
     grads.blocks["dec.cross_attn.wkv"] += _rows(mem).T @ dkv
     grads.blocks["dec.cross_attn.bkv"] += np.add.reduce(dkv, axis=0)
-    _embed_backward(params, EMBED, y_in, dh, grads)
+    _embed_backward(params, y_in, dh, grads)
     return dmem
 
 
@@ -941,25 +971,17 @@ def _empty_encoder_state(params: Parameters) -> EncoderState:
 
 
 # the tensors a streaming layer reads, in the order encode_prefix and
-# decode_step unpack them, and the blocks (`storage_groups`) its
+# decode_step unpack them, then the blocks (`storage_groups`) its
 # self-attention projects with; the cross-attention keys/values of every
 # decoder layer are projected from the memory once, when encode_prefix adds
-# its rows ("dec.cross_attn.wkv")
+# its rows ("dec.cross_attn.wkv").  `Parameters.encoder_views` and
+# `decoder_views` bind them once per Parameters, as views only.
 _ENC_LAYER = ("ln1.g", "ln1.b", "attn.wo", "attn.bo", "ln2.g", "ln2.b",
-              "ffn.w1", "ffn.b1", "ffn.w2", "ffn.b2")
+              "ffn.w1", "ffn.b1", "ffn.w2", "ffn.b2", "attn.wqkv", "attn.bqkv")
 _DEC_LAYER = ("ln1.g", "ln1.b", "self_attn.wo", "self_attn.bo", "ln2.g", "ln2.b",
               "cross_attn.wq", "cross_attn.bq", "cross_attn.wo", "cross_attn.bo",
-              "ln3.g", "ln3.b", "ffn.w1", "ffn.b1", "ffn.w2", "ffn.b2")
-_ENC_QKV = ("attn.wqkv", "attn.bqkv")
-_DEC_QKV = ("self_attn.wqkv", "self_attn.bqkv")
-
-
-@lru_cache(maxsize=None)
-def _layer_keys(stack: str, n_layers: int, parts: tuple[str, ...]) -> tuple[tuple[str, ...], ...]:
-    """Tensor names of ``parts`` for each layer of a stack.  Only names are
-    cached, never arrays: training edits tensors in place, and callers
-    swap whole `Parameters`."""
-    return tuple(tuple(f"{stack}.{l}.{p}" for p in parts) for l in range(n_layers))
+              "ln3.g", "ln3.b", "ffn.w1", "ffn.b1", "ffn.w2", "ffn.b2",
+              "self_attn.wqkv", "self_attn.bqkv")
 
 
 def encode_prefix(params: Parameters, new_tokens: Sequence[int],
@@ -973,43 +995,42 @@ def encode_prefix(params: Parameters, new_tokens: Sequence[int],
     call up to rounding: a block's products are matrix-matrix where one
     row's are vector-matrix, so rows can differ in the last bits (by at
     most 1e-12 in tests; about 4e-15 on the benchmark fixture).  One new
-    token travels as a (d,) row, so every product is a vector-matrix one.
-    Ids are checked as `check_ids` says, and a bad one raises ValueError
-    before any buffer is written.
+    token travels as a (d,) row through the row helpers (`_row_norm`,
+    `_row_attend`), so every product is a vector-matrix one.  Ids are
+    checked as `check_ids` says, and a bad one raises ValueError before
+    any buffer is written.
     """
     cfg = params.config
-    t, blocks = params.tensors, params.blocks
     n_heads, dh, d = cfg.n_heads, cfg.head_dim, cfg.d_model
     new_ids = check_ids(new_tokens, cfg.vocab_size, "source")
     if new_ids.ndim != 1 or len(new_ids) == 0:
         raise ValueError("need at least one new token")
     if state is None:
         state = _empty_encoder_state(params)
+    layers, gf, bf, ckv_w, ckv_b = params.encoder_views
     m = len(new_ids)
     z0 = state.n_tokens
     z = z0 + m
 
     rows = _writable_rows(state.rows, z0, m)
     enc_kv, memory, cross_kv = rows.arrays
-    # one new row may see every key: its causal mask is all zeros
     if m == 1:
-        h, mask = _embed(params, EMBED, new_ids[0], z0), None
+        h, norm, mask = _embed(params, new_ids[0], z0), _row_norm, None
     else:
-        h, mask = _embed(params, EMBED, new_ids, z0), causal_mask(m, m)
-    layers = zip(_layer_keys("enc", cfg.n_enc_layers, _ENC_LAYER),
-                 _layer_keys("enc", cfg.n_enc_layers, _ENC_QKV))
-    for l, (keys, (wqkv, bqkv)) in enumerate(layers):
-        g1, b1, wo, bo, g2, b2, w1, fb1, w2, fb2 = [t[k] for k in keys]
-        qkv = np.dot(_norm(h, g1, b1), blocks[wqkv])
-        qkv += blocks[bqkv]
+        h, norm, mask = _embed(params, new_ids, z0), _norm, causal_mask(m, m)
+    for l, (g1, b1, wo, bo, g2, b2, w1, fb1, w2, fb2, wqkv, bqkv) in enumerate(layers):
+        qkv = np.dot(norm(h, g1, b1), wqkv)
+        qkv += bqkv
         kv = enc_kv[l, :, :, :z]
         kv[:, :, z0:] = qkv[..., d:].reshape(-1, 2, n_heads, dh).transpose(1, 2, 0, 3)
-        h += _attend_precomputed(qkv[..., :d], wo, bo, kv[0], kv[1], mask)
-        h += _ffn_out(_norm(h, g2, b2), w1, fb1, w2, fb2)
-    mem_rows = _norm(h, t["enc.final_ln.g"], t["enc.final_ln.b"])
+        # one new row may see every key: it needs no mask
+        h += (_row_attend(qkv[:d], wo, bo, kv[0], kv[1]) if mask is None
+              else _attend_precomputed(qkv[:, :d], wo, bo, kv[0], kv[1], mask))
+        h += _ffn_out(norm(h, g2, b2), w1, fb1, w2, fb2)
+    mem_rows = norm(h, gf, bf)
     memory[z0:z] = mem_rows
-    ckv = np.dot(mem_rows, blocks["dec.cross_attn.wkv"])
-    ckv += blocks["dec.cross_attn.bkv"]
+    ckv = np.dot(mem_rows, ckv_w)
+    ckv += ckv_b
     cross_kv[..., z0:z, :] = (ckv.reshape(-1, cfg.n_dec_layers, 2, n_heads, dh)
                               .transpose(1, 2, 3, 0, 4))
     rows.filled = z
@@ -1049,10 +1070,11 @@ def decode_step(params: Parameters, enc_state: EncoderState,
     any buffer is written.  The cached cross-attention keys and values
     are sliced to that prefix before any computation, so the result is
     bitwise identical no matter what lies beyond.  Returns (logprobs (V,),
-    new DecoderState); inputs are not mutated.
+    new DecoderState); inputs are not mutated.  The target row travels as
+    a (d,) vector through the row helpers (`_row_norm`, `_row_attend`,
+    `_row_log_softmax`).
     """
     cfg = params.config
-    t, blocks = params.tensors, params.blocks
     n_heads, dh, d = cfg.n_heads, cfg.head_dim, cfg.d_model
     if not 1 <= visible <= enc_state.n_tokens:
         raise ValueError(f"visible={visible} outside [1, {enc_state.n_tokens}]")
@@ -1061,60 +1083,86 @@ def decode_step(params: Parameters, enc_state: EncoderState,
         raise ValueError(f"target id {prev_token} outside the integers [0, {cfg.vocab_size})")
     if dec_state is None:
         dec_state = empty_decoder_state(params)
+    layers, gf, bf, embed = params.decoder_views
     step = dec_state.step
 
-    h = _embed(params, EMBED, prev_token, step)
+    h = _embed(params, prev_token, step)
     rows = _writable_rows(dec_state.rows, step, 1)
     self_kv = rows.arrays[0][:, :, :, : step + 1]
     cross_kv = enc_state.rows.arrays[2][:, :, :, :visible]
-    layers = zip(_layer_keys("dec", cfg.n_dec_layers, _DEC_LAYER),
-                 _layer_keys("dec", cfg.n_dec_layers, _DEC_QKV))
-    for l, (keys, (wqkv, bqkv)) in enumerate(layers):
-        (g1, b1, wo, bo, g2, b2, cwq, cbq, cwo, cbo,
-         g3, b3, w1, fb1, w2, fb2) = [t[k] for k in keys]
-        qkv = np.dot(_norm(h, g1, b1), blocks[wqkv])
-        qkv += blocks[bqkv]
+    for l, (g1, b1, wo, bo, g2, b2, cwq, cbq, cwo, cbo,
+            g3, b3, w1, fb1, w2, fb2, wqkv, bqkv) in enumerate(layers):
+        qkv = np.dot(_row_norm(h, g1, b1), wqkv)
+        qkv += bqkv
         kv = self_kv[l]
         kv[:, :, step] = qkv[d:].reshape(2, n_heads, dh)
-        h += _attend_precomputed(qkv[:d], wo, bo, kv[0], kv[1])
-        q = np.dot(_norm(h, g2, b2), cwq)
+        h += _row_attend(qkv[:d], wo, bo, kv[0], kv[1])
+        q = np.dot(_row_norm(h, g2, b2), cwq)
         q += cbq
-        h += _attend_precomputed(q, cwo, cbo, cross_kv[l, 0], cross_kv[l, 1])
-        h += _ffn_out(_norm(h, g3, b3), w1, fb1, w2, fb2)
-    hf = _norm(h, t["dec.final_ln.g"], t["dec.final_ln.b"])
-    logp = log_softmax(np.dot(hf, t[EMBED].T))
+        h += _row_attend(q, cwo, cbo, cross_kv[l, 0], cross_kv[l, 1])
+        h += _ffn_out(_row_norm(h, g3, b3), w1, fb1, w2, fb2)
+    logp = _row_log_softmax(np.dot(_row_norm(h, gf, bf), embed.T))
     rows.filled = step + 1
     return logp, DecoderState(rows, step + 1)
 
 
 def _norm(x: np.ndarray, g: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """`layer_norm`'s output alone, scaled and shifted in place, for the
-    streaming passes (no backward cache)."""
+    """`layer_norm`'s output alone, scaled and shifted in place, for a
+    streaming block's (m, d) rows (no backward cache)."""
     y, _ = _standardize(x)
     y *= g
     y += b
     return y
 
 
+def _row_norm(x: np.ndarray, g: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`_norm` of one (d,) row: scalar statistics, with ``math.sqrt`` on
+    the variance, then the scale and shift in place; bitwise the (1, d)
+    call's row."""
+    n = len(x)
+    y = x - np.add.reduce(x) / n
+    y *= 1.0 / math.sqrt(np.add.reduce(y * y) / n + _LN_EPS)
+    y *= g
+    y += b
+    return y
+
+
 def _attend_precomputed(q: np.ndarray, wo, bo, kh: np.ndarray, vh: np.ndarray,
-                        mask: np.ndarray | None = None) -> np.ndarray:
-    """Attention of projected queries q, (d,) for one row or (m, d), over
+                        mask: np.ndarray) -> np.ndarray:
+    """Attention of a streaming block's projected queries q, (m, d), over
     keys and values already projected and split into heads, (H, n, d_head)
     (the streaming caches), through the output projection; the output has
-    q's shape.  ``mask`` is as `_attend` takes it; without one every query
-    sees every key.  Heads are split and merged inline around `_attend`:
-    one sentence needs no batch axis, and a (d,) row needs one reshape
-    each way."""
+    q's shape.  ``mask`` is as `_attend` takes it.  Heads are split and
+    merged inline around `_attend`: one sentence needs no batch axis."""
     n_heads, _, dh = kh.shape
-    if q.ndim == 1:
-        ah = _attend(q.reshape(n_heads, 1, dh), kh, mask) @ vh
-        a = ah.reshape(q.shape)
-    else:
-        ah = _attend(q.reshape(-1, n_heads, dh).swapaxes(0, 1), kh, mask) @ vh
-        a = ah.swapaxes(0, 1).reshape(q.shape)
-    out = np.dot(a, wo)
+    ah = _attend(q.reshape(-1, n_heads, dh).swapaxes(0, 1), kh, mask) @ vh
+    out = np.dot(ah.swapaxes(0, 1).reshape(q.shape), wo)
     out += bo
     return out
+
+
+def _row_attend(q: np.ndarray, wo, bo, kh: np.ndarray, vh: np.ndarray) -> np.ndarray:
+    """`_attend_precomputed` of one (d,) query, which sees every key, so it
+    takes no mask: `_attend`'s operations inline on a (H, 1, d_head) view
+    of q, and one reshape merges the weighted values back into a (d,) row."""
+    n_heads, _, dh = kh.shape
+    p = q.reshape(n_heads, 1, dh) @ kh.swapaxes(-1, -2)
+    p *= 1.0 / math.sqrt(dh)
+    p -= np.maximum.reduce(p, axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= np.add.reduce(p, axis=-1, keepdims=True)
+    out = np.dot((p @ vh).reshape(q.shape), wo)
+    out += bo
+    return out
+
+
+def _row_log_softmax(x: np.ndarray) -> np.ndarray:
+    """`log_softmax` of one (V,) row with scalar statistics, the exponent
+    taken in place; bitwise the (1, V) call's row."""
+    mx = np.maximum.reduce(x)
+    e = x - mx
+    np.exp(e, out=e)
+    return x - (np.log(np.add.reduce(e)) + mx)
 
 
 def _ffn_out(x: np.ndarray, w1, b1, w2, b2) -> np.ndarray:
@@ -1166,7 +1214,7 @@ def load_checkpoint(path) -> Parameters:
     if 16 + n > len(data):
         raise ValueError(f"{path}: manifest length {n} runs past the end of the file")
     try:
-        manifest = json.loads(data[16 : 16 + n].decode())
+        manifest = parse_json(data[16 : 16 + n].decode())
     except ValueError as e:
         raise ValueError(f"{path}: unreadable manifest ({e})") from e
     if not isinstance(manifest, dict) or not isinstance(manifest.get("tensors"), list):

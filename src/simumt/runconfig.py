@@ -69,9 +69,19 @@ def _same_type(value, default) -> bool:
     return type(value) is type(default)
 
 
+def parse_json(text: str | bytes):
+    """``json.loads(text)`` under the one rule for JSON read from outside:
+    every malformed input raises ValueError, including input nested past
+    the recursion limit, which json raises as RecursionError."""
+    try:
+        return json.loads(text)
+    except RecursionError as e:
+        raise ValueError("JSON nested too deeply") from e
+
+
 def load_config_file(path) -> dict:
     with open(path, encoding="utf-8") as f:
-        obj = json.load(f)
+        obj = parse_json(f.read())
     if not isinstance(obj, dict):
         raise ValueError(f"config file {path} must hold a JSON object")
     return obj

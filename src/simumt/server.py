@@ -43,6 +43,7 @@ from dataclasses import dataclass, field
 from .cascade import AudioBlocks, validate_stream, words_ended_by
 from .metrics import score_runs
 from .online import ActionTrace, Chunk, ReadEvent, WriteEvent, read_write_decode
+from .runconfig import parse_json
 from .sweep import Testset
 from .vocab import EOS_TOKEN
 
@@ -105,7 +106,7 @@ class _Handler(socketserver.StreamRequestHandler):
                     line = raw.decode("utf-8").strip()
                     if not line:
                         continue
-                    frame = json.loads(line)
+                    frame = parse_json(line)
                     if not isinstance(frame, dict):
                         raise ValueError("frame must be a JSON object")
                     act = frame["act"]
@@ -310,7 +311,7 @@ class _Conn:
         line = self.file.readline()
         if not line:
             raise ConnectionError("server closed the connection")
-        reply = json.loads(line.decode())
+        reply = parse_json(line.decode())
         if "error" in reply:
             raise RuntimeError(f"server error: {reply['error']}")
         return reply

@@ -356,6 +356,19 @@ def test_exit_1_bad_corpus_and_testset_lines(workspace, tmp_path, capsys):
     assert "simumt: source 0 is empty" in capsys.readouterr().err
 
 
+def test_exit_1_checkpoint_nested_past_the_recursion_limit(workspace, tmp_path, capsys):
+    # its manifest raised RecursionError, so translate exited 2 ("runtime failure")
+    ckpt = tmp_path / "deep.ckpt"
+    raw = b"[" * 60000
+    ckpt.write_bytes(b"SMTCKPT1" + len(raw).to_bytes(8, "little") + raw)
+    inp = tmp_path / "input.txt"
+    inp.write_text("a b\n")
+    assert cli(["translate", "--model", str(ckpt),
+                "--bpe", str(workspace / "run" / "bpe.model"), "--k", "1",
+                "--input", str(inp), "--out", str(tmp_path / "o")]) == 1
+    assert "unreadable manifest" in capsys.readouterr().err
+
+
 def test_module_entry_point(tmp_path):
     out = tmp_path / "pairs.tsv"
     proc = subprocess.run(

@@ -54,6 +54,13 @@ def test_jsonl_sides_must_be_strings(tmp_path):
             C.load_parallel_text(p)
 
 
+def test_jsonl_line_nested_past_the_recursion_limit_is_a_bad_line(tmp_path):
+    p = tmp_path / "c.jsonl"
+    p.write_text('{"src": ' + "[" * 60000 + "\n")
+    with pytest.raises(ValueError, match=r"c\.jsonl:1: bad JSON corpus line"):
+        C.load_parallel_text(p)
+
+
 def test_encode_pairs_appends_eos():
     enc = lambda s: [ord(c) % 20 + 4 for c in s.replace(" ", "")]
     pairs = C.encode_pairs([("ab", "cd")], enc, enc)

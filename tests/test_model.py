@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from simumt import model as M
+from simumt import training as T
 from simumt.vocab import BOS, EOS
 
 
@@ -88,8 +89,8 @@ def test_layer_norm_is_bitwise_the_two_call_form():
             y, (xh, iv, _) = M.layer_norm(xs, g, b)
             assert np.array_equal(y, xhat * g + b)
             assert np.array_equal(xh, xhat) and np.array_equal(iv, inv)
-    # a (64,) row, as the streaming step passes it, takes scalar statistics:
-    # bitwise the (1, 64) call and the two-call form
+    # a (64,) row: layer_norm's and the streaming step's `_row_norm`, with
+    # its scalar statistics, are bitwise the (1, 64) call and the two-call form
     for _ in range(50):
         x = rng.normal(size=64) * rng.uniform(0.1, 100.0) + rng.uniform(-50, 50)
         g, b = rng.normal(size=64), rng.normal(size=64)
@@ -97,9 +98,11 @@ def test_layer_norm_is_bitwise_the_two_call_form():
         xhat = (x - x.mean()) * inv
         y, (xh, iv, _) = M.layer_norm(x, g, b)
         y2, (xh2, iv2, _) = M.layer_norm(x[None], g, b)
-        assert y.shape == xh.shape == (64,)
+        row = M._row_norm(x, g, b)
+        assert y.shape == xh.shape == row.shape == (64,)
         assert np.array_equal(y, y2[0]) and np.array_equal(xh, xh2[0]) and iv == iv2[0, 0]
         assert np.array_equal(y, xhat * g + b) and np.array_equal(xh, xhat) and iv == inv
+        assert np.array_equal(row, y) and np.array_equal(row, y2[0])
 
 
 def test_forward_full_is_normalized():
@@ -462,7 +465,7 @@ def test_extending_a_state_twice_leaves_the_parent_unchanged():
 
 @pytest.mark.parametrize("name", ["dec.1.cross_attn.wk", "dec.0.cross_attn.bv"])
 def test_streaming_reads_tensors_afresh_after_in_place_edits(name):
-    # the streaming functions may cache tensor names, never arrays: an
+    # the streaming functions bind views into the vector, never copies: an
     # in-place edit, the way adam_update makes one, shows in the next call,
     # and each Parameters is read for its own tensors
     params = small_params(seed=3)
@@ -486,6 +489,42 @@ def test_streaming_reads_tensors_afresh_after_in_place_edits(name):
     assert not np.array_equal(after[-1], before[-1])
 
 
+def test_streaming_views_see_an_adam_update_in_place():
+    # encode_prefix and decode_step read tensors bound once per Parameters
+    # (`encoder_views`, `decoder_views`), views into the vector: an Adam
+    # step on the same Parameters shows in the next decode, bit for bit as
+    # in a decode by a fresh copy of the updated weights
+    params = small_params(seed=4)
+    rng = np.random.default_rng(9)
+    x = rand_sentence(rng, 7)
+
+    def decode(p):
+        enc = M.encode_prefix(p, x[:4])
+        for tok in x[4:]:
+            enc = M.encode_prefix(p, [tok], enc)        # one token: a (d,) row
+        out, dec, prev = [enc.memory.copy()], None, BOS
+        for t in range(6):
+            lp, dec = M.decode_step(p, enc, dec, prev, min(t + 2, enc.n_tokens))
+            out.append(lp)
+            prev = int(np.argmax(lp))
+        return out
+
+    before = decode(params)
+    views = params.encoder_views, params.decoder_views
+    grads = M.zero_grads(params)
+    grads.vector[:] = rng.normal(size=grads.vector.shape)
+    T.adam_update(params, grads, T.init_optimizer(params, base_lr=0.05, warmup_steps=1))
+    after = decode(params)
+    assert params.encoder_views is views[0] and params.decoder_views is views[1]  # bound once
+    assert all(np.array_equal(a, b) for a, b in zip(after, decode(params.copy()), strict=True))
+    assert not any(np.array_equal(a, b) for a, b in zip(after, before, strict=True))
+    # bound on first streaming use: a partial tensor set still constructs
+    partial = M.Parameters(params.config, {"embed": params.tensors["embed"]})
+    assert list(partial.tensors) == ["embed"]
+    with pytest.raises(KeyError):
+        partial.decoder_views
+
+
 def oracle_step(params, mem, history, prev, visible):
     """A decoder step written from the primitives, with no caches, as a
     batch of one over ``mem`` (1, n, d): cross-attention runs
@@ -494,7 +533,7 @@ def oracle_step(params, mem, history, prev, visible):
     (appended to in place).  Keys and values come from `separate_kv`, so
     the oracle shares no product with the fused blocks."""
     t = params.tensors
-    h = M._embed(params, "embed", np.array([[prev]]), len(history[0]))
+    h = M._embed(params, np.array([[prev]]), len(history[0]))
     for l, rows in enumerate(history):
         a_in, _ = M.layer_norm(h, t[f"dec.{l}.ln1.g"], t[f"dec.{l}.ln1.b"])
         rows.append(a_in)
@@ -596,11 +635,11 @@ def test_position_table_slices_equal_sinusoid_rows_across_doublings():
     params = small_params()
     ids = np.array([[4, 5, 6], [7, 8, 9]])
     want = params.tensors["embed"][ids] * math.sqrt(16) + M.sinusoid_rows(40, 3, 16)
-    assert np.array_equal(M._embed(params, "embed", ids, 40), want)
+    assert np.array_equal(M._embed(params, ids, 40), want)
     # a list of ids takes one position per column, like an array of them
-    assert np.array_equal(M._embed(params, "embed", [7, 8, 9], 40), want[1])
+    assert np.array_equal(M._embed(params, [7, 8, 9], 40), want[1])
     for one in (8, np.int64(8)):
-        assert np.array_equal(M._embed(params, "embed", one, 41), want[1, 1])
+        assert np.array_equal(M._embed(params, one, 41), want[1, 1])
 
 
 def test_encoder_is_causal_bitwise():
@@ -1174,4 +1213,13 @@ def test_checkpoint_rejects_garbage(tmp_path):
     p = tmp_path / "junk.ckpt"
     p.write_bytes(b"not a checkpoint at all")
     with pytest.raises(ValueError):
+        M.load_checkpoint(p)
+
+
+def test_checkpoint_refuses_a_manifest_nested_past_the_recursion_limit(tmp_path):
+    # json raises RecursionError on it, which load_checkpoint used to let out
+    p = tmp_path / "deep.ckpt"
+    raw = b"[" * 60000
+    p.write_bytes(b"SMTCKPT1" + len(raw).to_bytes(8, "little") + raw)
+    with pytest.raises(ValueError, match="unreadable manifest"):
         M.load_checkpoint(p)

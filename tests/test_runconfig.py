@@ -62,6 +62,15 @@ def test_load_config_file(tmp_path):
         R.load_config_file(p)
 
 
+def test_load_config_file_refuses_json_nested_past_the_recursion_limit(tmp_path):
+    # json raises RecursionError on it; every reader of outside JSON raises
+    # ValueError instead (`parse_json`)
+    p = tmp_path / "cfg.json"
+    p.write_text("[" * 60000)
+    with pytest.raises(ValueError, match="nested too deeply"):
+        R.load_config_file(p)
+
+
 def test_file_sha256(tmp_path):
     p = tmp_path / "data.bin"
     p.write_bytes(b"hello streaming world")

@@ -353,6 +353,21 @@ def test_frames_longer_than_the_limit_are_refused():
         assert srv.sessions[0].aborted
 
 
+def test_frame_nested_past_the_recursion_limit_gets_an_error_frame():
+    # json raises RecursionError on it, which used to kill the handler
+    # thread and leave the client a closed socket with no reply
+    with running(t2t_testset()) as (srv, host, port):
+        c = RawClient(host, port)
+        assert c.call({"act": "START", "id": 0})["ok"]
+        c.send_line("[" * 60000)
+        assert c.recv()["error"].startswith("malformed frame:")
+        c.close()
+        assert srv.sessions[0].aborted
+        c = RawClient(host, port)
+        assert "error" in c.call({"act": "SCORE"})      # the server still answers
+        c.close()
+
+
 def test_writes_past_the_cap_abort_the_session():
     # the cap is 2 * |source| + 50 content tokens; 20,000 WRITEs to a
     # 3-token source were once all accepted
